@@ -11,6 +11,7 @@ import csv
 import json
 import sys
 
+from . import __version__
 from .core import Contest, UndefinedContestError, p_n
 from .identities import (
     odds_from_sum,
@@ -28,16 +29,10 @@ from .ingest import (
     TiesPolicy,
     build_standings,
 )
-from .simulate import SimConfig, estimate_p_n
 from .tree import CompetitionGraph, GraphError, PairwiseEdge, p_n_from_tree, propagate_percentages
-from .verify import (
-    COUNTEREXAMPLE_NAMES,
-    CanonicalFamily,
-    GridFamily,
-    SampleSpec,
-    counterexample_family,
-    run_all_checks,
-)
+
+# simulate (numpy) and verify are imported inside their subcommands, so the
+# other subcommands start with standard-library imports only.
 
 EXIT_OK = 0
 EXIT_CHECKS_FAILED = 1
@@ -137,6 +132,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .simulate import SimConfig, estimate_p_n
+
     contest = Contest(args.protagonist, _parse_percent_list(args.opponents))
     cfg = SimConfig(
         trials=args.trials,
@@ -266,6 +263,8 @@ def cmd_ingest(args) -> int:
 
 
 def _build_family(spec_text: str):
+    from .verify import COUNTEREXAMPLE_NAMES, CanonicalFamily, GridFamily, counterexample_family
+
     if spec_text in ("builtin", "canonical"):
         return CanonicalFamily()
     if spec_text.startswith("counterexample:"):
@@ -285,6 +284,8 @@ def _build_family(spec_text: str):
 
 
 def cmd_verify(args) -> int:
+    from .verify import GridFamily, SampleSpec, run_all_checks
+
     family = _build_family(args.family)
     tolerance = args.tol
     if tolerance is None:
@@ -329,6 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--tol", type=float, default=None, help="check tolerance")
     parser.add_argument("--seed", type=int, default=0, help="random seed")
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("predict", help="closed-form win probability")

@@ -15,13 +15,13 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from array import array
+from bisect import bisect_right
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-from scipy.interpolate import RegularGridInterpolator
-
 from .core import Contest, p_n, strength
+from .identities import _odds
 
 __all__ = [
     "CandidateFamily",
@@ -169,40 +169,69 @@ class GridFamily(CandidateFamily):
     Evaluation is multilinear interpolation with coordinates clamped to the
     grid range.  Accuracy is interpolation-limited, so checks against grid
     families should use a loosened tolerance (1e-3 by default in the CLI).
+
+    Each table is kept flat in C order.  A call sums value x weight over the
+    2^(n+1) corners of the enclosing cell, first axis slowest, each weight the
+    left-to-right product of the per-axis factors 1 - t or t.
     """
 
-    def __init__(self, tables: Mapping[int, tuple[Sequence[Sequence[float]], np.ndarray]],
+    def __init__(self, tables: Mapping[int, tuple[Sequence[Sequence[float]], Sequence]],
                  name: str = "grid"):
+        import numpy as np
+
         self.name = name
-        self._interps: dict[int, RegularGridInterpolator] = {}
-        self._bounds: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._tables: dict[int, tuple[tuple, tuple[int, ...], array]] = {}
         for n, (grids, values) in tables.items():
-            axes = [np.asarray(g, dtype=float) for g in grids]
-            if len(axes) != n + 1:
-                raise ValueError(f"n={n} table needs {n + 1} axes, got {len(axes)}")
-            shape = tuple(len(g) for g in axes)
-            vals = np.asarray(values, dtype=float).reshape(shape)
-            self._interps[n] = RegularGridInterpolator(axes, vals)
-            self._bounds[n] = (
-                np.array([g[0] for g in axes]),
-                np.array([g[-1] for g in axes]),
+            if len(grids) != n + 1:
+                raise ValueError(f"n={n} table needs {n + 1} axes, got {len(grids)}")
+            axes, descending = [], []
+            for k, grid in enumerate(grids):
+                axis = [float(x) for x in grid]
+                if len(axis) < 2:
+                    raise ValueError(f"n={n} table: axis {k} needs at least 2 points")
+                steps = list(zip(axis, axis[1:]))
+                if all(lo > hi for lo, hi in steps):
+                    axis.reverse()
+                    descending.append(k)
+                elif not all(lo < hi for lo, hi in steps):
+                    raise ValueError(f"n={n} table: axis {k} must be strictly monotonic")
+                axes.append(tuple(axis))
+            shape = [len(axis) for axis in axes]
+            table = np.flip(np.asarray(values, dtype=float).reshape(shape), descending)
+            strides = [math.prod(shape[k + 1:]) for k in range(len(shape))]
+            offsets = [0]
+            for s in strides:
+                offsets = [o + step for o in offsets for step in (0, s)]
+            flat = array("d")
+            flat.frombytes(memoryview(np.ascontiguousarray(table)).cast("B"))
+            self._tables[n] = (
+                tuple(zip(axes, strides, [size - 1 for size in shape])), tuple(offsets), flat
             )
-        self.max_n = max(self._interps) if self._interps else 0
+        self.max_n = max(self._tables) if self._tables else 0
 
     def __call__(self, a: float, opponents: Sequence[float]) -> float:
         n = len(opponents)
-        if n not in self._interps:
+        if n not in self._tables:
             raise ValueError(f"grid family has no table for n={n}")
-        lo, hi = self._bounds[n]
-        point = np.clip(np.array([a, *opponents], dtype=float), lo, hi)
-        return float(np.clip(self._interps[n](point)[0], 0.0, 1.0))
+        axes, offsets, values = self._tables[n]
+        base, weights = 0, [1.0]
+        for x, (axis, stride, top) in zip((a, *opponents), axes):
+            if not axis[0] <= x <= axis[-1]:
+                if x != x:
+                    raise ValueError("grid family got a NaN coordinate")
+                x = axis[0] if x < axis[0] else axis[-1]
+            i = bisect_right(axis, x, 1, top) - 1
+            t = (x - axis[i]) / (axis[i + 1] - axis[i])
+            base += i * stride
+            weights = [w * u for w in weights for u in (1.0 - t, t)]
+        total = 0.0
+        for offset, w in zip(offsets, weights):
+            total += values[base + offset] * w
+        return min(max(total, 0.0), 1.0)
 
     @classmethod
     def from_dict(cls, payload: Mapping, name: str = "grid") -> "GridFamily":
-        tables = {}
-        for key, entry in payload.items():
-            n = int(key)
-            tables[n] = (entry["grids"], np.asarray(entry["values"], dtype=float))
+        tables = {int(key): (entry["grids"], entry["values"]) for key, entry in payload.items()}
         return cls(tables, name=name)
 
     @classmethod
@@ -219,10 +248,12 @@ class GridFamily(CandidateFamily):
         multiple percentages at 1) are stored as 0; interior sampling never
         interpolates across them alone.
         """
+        import numpy as np
+
         axis = np.linspace(0.0, 1.0, resolution)
         tables = {}
         for n in range(1, n_max + 1):
-            coords = np.meshgrid(*([axis] * (n + 1)), indexing="ij")
+            coords = np.meshgrid(*([axis] * (n + 1)), indexing="ij", sparse=True)
             a, bs = coords[0], coords[1:]
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio_sum = sum(b * (1.0 - a) / (a * (1.0 - b)) for b in bs)
@@ -239,13 +270,10 @@ class GridFamily(CandidateFamily):
         return cls(tables, name=f"grid-canonical-{resolution}")
 
     def to_dict(self) -> dict:
-        out = {}
-        for n, interp in self._interps.items():
-            out[str(n)] = {
-                "grids": [list(map(float, g)) for g in interp.grid],
-                "values": [float(v) for v in np.ravel(interp.values)],
-            }
-        return out
+        return {
+            str(n): {"grids": [list(axis) for axis, _, _ in axes], "values": values.tolist()}
+            for n, (axes, _, values) in self._tables.items()
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -311,16 +339,19 @@ def _scan(name: str, spec: SampleSpec, sample_fn) -> CheckReport:
     return CheckReport(name, samples, worst, worst_input, spec.tolerance)
 
 
+def _supported(f: CandidateFamily, spec: SampleSpec) -> SampleSpec:
+    """``spec`` narrowed to the opponent counts that ``f`` supports."""
+    n_values = tuple(n for n in spec.n_values if f.max_n is None or n <= f.max_n)
+    return replace(spec, n_values=n_values)
+
+
 def _uniform(rng: random.Random, spec: SampleSpec) -> float:
     return rng.uniform(spec.low, spec.high)
 
 
 def check_conditions(f: CandidateFamily, spec: SampleSpec) -> list[CheckReport]:
     """The six structural conditions, one report each."""
-    n_values = tuple(
-        n for n in spec.n_values if f.max_n is None or n <= f.max_n
-    )
-    spec = SampleSpec(n_values, spec.points, spec.seed, spec.tolerance, spec.low, spec.high)
+    spec = _supported(f, spec)
 
     def cond_a(rng, n):
         a = _uniform(rng, spec)
@@ -376,16 +407,9 @@ def check_conditions(f: CandidateFamily, spec: SampleSpec) -> list[CheckReport]:
     ]
 
 
-def _odds(p: float) -> float:
-    return 1.0 / p - 1.0
-
-
 def check_uniqueness_properties(f: CandidateFamily, spec: SampleSpec) -> list[CheckReport]:
     """The five formula-based properties, each relating J_n to the family's own J_1."""
-    n_values = tuple(
-        n for n in spec.n_values if f.max_n is None or n <= f.max_n
-    )
-    spec = SampleSpec(n_values, spec.points, spec.seed, spec.tolerance, spec.low, spec.high)
+    spec = _supported(f, spec)
 
     def j1(a, b):
         return f(a, [b])
@@ -445,10 +469,7 @@ def check_uniqueness_properties(f: CandidateFamily, spec: SampleSpec) -> list[Ch
 
 def check_matches_canonical(f: CandidateFamily, spec: SampleSpec) -> CheckReport:
     """Largest pointwise gap between the family and the canonical evaluator."""
-    n_values = tuple(
-        n for n in spec.n_values if f.max_n is None or n <= f.max_n
-    )
-    spec = SampleSpec(n_values, spec.points, spec.seed, spec.tolerance, spec.low, spec.high)
+    spec = _supported(f, spec)
 
     def gap(rng, n):
         a = _uniform(rng, spec)

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from multijames import cli
+from multijames import __version__, cli
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 CHAIN_EDGES = {
     "root": "A",
@@ -297,3 +303,53 @@ class TestVerify:
     def test_missing_grid_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, "verify", "--family", f"grid:{tmp_path}/none.json")
         assert code == 4
+
+
+class TestVersion:
+    def test_prints_version_and_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.strip() == f"multijames {__version__}"
+
+
+# Every subcommand except simulate must start on standard-library imports.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+from multijames import cli
+
+edges, events = sys.argv[1:]
+calls = [
+    ["predict", "-a", "0.5", "-b", "0.8,0.5"],
+    ["predict", "-a", "0.5", "-b", "0.8,0.5", "--all-methods"],
+    ["infer-tree", edges],
+    ["propagate", edges, "--anchor", "A=0.6"],
+    ["ingest", events],
+    ["verify", "--family", "builtin", "--samples", "5", "--n-max", "2"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in calls]
+print(json.dumps({"codes": codes, "loaded": sorted(
+    name for name in ("numpy", "scipy") if name in sys.modules)}))
+"""
+
+
+class TestImportHygiene:
+    def test_light_subcommands_import_no_numpy_or_scipy(self, tmp_path):
+        edges = write_json(tmp_path, "chain.json", CHAIN_EDGES)
+        events = tmp_path / "events.csv"
+        events.write_text("event_id,competitor,rank\nrace,a,1\nrace,b,2\nrace,c,3\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE, edges, str(events)],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        result = json.loads(proc.stdout)
+        assert result["codes"] == [0] * 6
+        assert result["loaded"] == []
+
+    def test_source_does_not_mention_scipy(self):
+        sources = [p for p in SRC.rglob("*") if p.is_file() and "__pycache__" not in p.parts]
+        assert sources
+        assert [p.name for p in sources if b"scipy" in p.read_bytes()] == []

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 
 import pytest
 
@@ -175,6 +176,36 @@ class TestGridFamily:
         loaded = GridFamily.from_file(str(path))
         assert loaded.max_n == 2
         assert loaded(0.5, [0.5, 0.5]) == pytest.approx(small(0.5, [0.5, 0.5]), abs=1e-12)
+
+    def test_pickle_round_trip(self, grid):
+        loaded = pickle.loads(pickle.dumps(grid))
+        assert loaded.to_dict() == grid.to_dict()
+        assert loaded(0.3, [0.6, 0.45]) == grid(0.3, [0.6, 0.45])
+
+    @pytest.mark.parametrize(
+        "grids, values",
+        [
+            ([[0.0, 0.5, 0.4], [0.0, 1.0]], [0.0] * 6),  # not monotonic
+            ([[0.0, 0.0], [0.0, 1.0]], [0.0] * 4),  # repeated node
+            ([[0.5], [0.0, 1.0]], [0.0] * 2),  # single point
+            ([[0.0, 1.0], [0.0, 1.0]], [0.0] * 3),  # wrong value count
+        ],
+    )
+    def test_malformed_tables_rejected(self, grids, values):
+        with pytest.raises(ValueError):
+            GridFamily.from_dict({"1": {"grids": grids, "values": values}})
+
+    def test_descending_axis_is_stored_ascending(self):
+        up = GridFamily.from_dict({"1": {"grids": [[0.0, 1.0], [0.0, 0.5, 1.0]],
+                                         "values": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]}})
+        down = GridFamily.from_dict({"1": {"grids": [[0.0, 1.0], [1.0, 0.5, 0.0]],
+                                           "values": [0.3, 0.2, 0.1, 0.6, 0.5, 0.4]}})
+        assert down.to_dict() == up.to_dict()
+        assert down(0.25, [0.7]) == up(0.25, [0.7])
+
+    def test_nan_coordinate_rejected(self, grid):
+        with pytest.raises(ValueError):
+            grid(math.nan, [0.5])
 
 
 class TestReportShape:
