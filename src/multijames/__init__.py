@@ -6,7 +6,6 @@ from .core import (
     UndefinedContestError,
     balanced_opposition,
     classify_contest,
-    involution_partner,
     james_p,
     level_transform,
     p_n,
@@ -23,7 +22,6 @@ __all__ = [
     "UndefinedContestError",
     "balanced_opposition",
     "classify_contest",
-    "involution_partner",
     "james_p",
     "level_transform",
     "p_n",

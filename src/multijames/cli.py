@@ -40,16 +40,20 @@ EXIT_UNDEFINED = 2
 EXIT_GRAPH = 3
 EXIT_PARSE = 4
 
-METHODS = (
-    "direct",
-    "product",
-    "sum",
-    "substitution",
-    "reduction",
-    "shifted",
-    "expanded",
-    "partition",
-)
+# Every evaluator takes (contest, pivot, blocks); blocks None means one
+# block per opponent.
+METHODS = {
+    "direct": lambda c, pivot, blocks: p_n(c),
+    "product": lambda c, pivot, blocks: p_n_product_form(c),
+    "sum": lambda c, pivot, blocks: 1.0 / (1.0 + odds_from_sum(c)),
+    "substitution": lambda c, pivot, blocks: p_n_substitution(c, pivot),
+    "reduction": lambda c, pivot, blocks: p_n_reduction(c),
+    "shifted": lambda c, pivot, blocks: p_n_shifted_sum(c),
+    "expanded": lambda c, pivot, blocks: p_n_expanded_sum(c),
+    "partition": lambda c, pivot, blocks: p_n_partitioned(
+        c, blocks or [[i] for i in range(c.n)]
+    ),
+}
 
 
 class ParseError(ValueError):
@@ -78,52 +82,29 @@ def _parse_percent_list(text: str) -> tuple[float, ...]:
         raise ParseError(f"could not parse percentage list {text!r}") from None
 
 
-def _parse_blocks(text: str, n: int) -> list[list[int]]:
+def _parse_blocks(text: str) -> list[list[int]]:
     """Parse 1-based partition syntax like '1,2|3' into 0-based blocks."""
     try:
-        blocks = [
+        return [
             [int(idx) - 1 for idx in chunk.split(",") if idx.strip() != ""]
             for chunk in text.split("|")
         ]
     except ValueError:
         raise ParseError(f"could not parse partition {text!r}") from None
-    return blocks
-
-
-def _evaluate(method: str, contest: Contest, pivot: float, blocks) -> float:
-    if method == "direct":
-        return p_n(contest)
-    if method == "product":
-        return p_n_product_form(contest)
-    if method == "sum":
-        return 1.0 / (1.0 + odds_from_sum(contest))
-    if method == "substitution":
-        return p_n_substitution(contest, pivot)
-    if method == "reduction":
-        return p_n_reduction(contest)
-    if method == "shifted":
-        return p_n_shifted_sum(contest)
-    if method == "expanded":
-        return p_n_expanded_sum(contest)
-    if method == "partition":
-        if blocks is None:
-            blocks = [[i] for i in range(contest.n)]
-        return p_n_partitioned(contest, blocks)
-    raise ValueError(f"unknown method {method!r}")
 
 
 def cmd_predict(args) -> int:
     contest = Contest(args.protagonist, _parse_percent_list(args.opponents))
-    blocks = _parse_blocks(args.blocks, contest.n) if args.blocks else None
+    blocks = _parse_blocks(args.blocks) if args.blocks else None
     if args.all_methods:
-        values = {m: _evaluate(m, contest, args.pivot, blocks) for m in METHODS}
+        values = {m: f(contest, args.pivot, blocks) for m, f in METHODS.items()}
         spread = max(values.values()) - min(values.values())
         _emit(
             {"methods": values, "max_discrepancy": spread, "n_opponents": contest.n},
             args.output,
         )
         return EXIT_OK
-    value = _evaluate(args.method, contest, args.pivot, blocks)
+    value = METHODS[args.method](contest, args.pivot, blocks)
     _emit(
         {"method": args.method, "probability": value, "n_opponents": contest.n},
         args.output,

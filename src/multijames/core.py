@@ -18,7 +18,6 @@ __all__ = [
     "UndefinedContestError",
     "balanced_opposition",
     "classify_contest",
-    "involution_partner",
     "james_p",
     "level_transform",
     "p_n",
@@ -147,14 +146,6 @@ def p_n(c: Contest) -> float:
     return 1.0 / (1.0 + math.fsum(ratios))
 
 
-def involution_partner(a: float, b: float) -> float:
-    """The unique c with james_p(a, b) = c and james_p(a, c) = b, for 0 < a < 1."""
-    a = _check_pct(a, "a")
-    if a == 0.0 or a == 1.0:
-        raise ValueError("involution requires 0 < a < 1")
-    return james_p(a, b)
-
-
 def solve_protagonist_complement(opponents: Sequence[float], c: float) -> float:
     """Solve p_n(a; opponents) = 1 - c for the protagonist percentage a.
 
@@ -173,11 +164,11 @@ def solve_protagonist_complement(opponents: Sequence[float], c: float) -> float:
 
 
 def level_transform(s: float, t: float) -> float:
-    """Rescale a percentage so its strength is multiplied by t > 0."""
+    """Rescale a percentage so its strength is multiplied by a finite t > 0."""
     s = _check_pct(s)
     t = float(t)
-    if math.isnan(t) or t <= 0.0:
-        raise ValueError(f"scale factor must be positive, got {t!r}")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"scale factor must be positive and finite, got {t!r}")
     return t * s / (1.0 + (t - 1.0) * s)
 
 

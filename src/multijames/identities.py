@@ -19,7 +19,6 @@ from .core import (
     classify_contest,
     james_p,
     p_n,
-    strength,
 )
 
 __all__ = [
@@ -206,8 +205,3 @@ def iia_ratio(a: float, b: float, shared: Sequence[float] = ()) -> float:
     top = p_n(Contest(b, (a,) + shared_t))
     bottom = p_n(Contest(a, (b,) + shared_t))
     return top / bottom
-
-
-def total_strength(opponents: Sequence[float]) -> float:
-    """Sum of opponent strengths; convenience for odds-ratio cross-checks."""
-    return math.fsum(strength(b) for b in opponents)

@@ -19,7 +19,6 @@ __all__ = [
     "SimConfig",
     "SimResult",
     "estimate_p_n",
-    "simulate_round",
 ]
 
 
@@ -57,19 +56,6 @@ class SimResult:
     @property
     def trials(self) -> int:
         return self.trials_completed + self.trials_abandoned
-
-
-def simulate_round(rng: np.random.Generator, a: float, opponents) -> int | None:
-    """Play one round; return the winner's index (0 = protagonist) or None.
-
-    Each competitor independently draws a success; the round resolves only
-    when exactly one competitor succeeds.
-    """
-    probs = np.asarray([a, *opponents], dtype=float)
-    draws = rng.random(probs.size) < probs
-    if int(draws.sum()) == 1:
-        return int(np.argmax(draws))
-    return None
 
 
 def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:

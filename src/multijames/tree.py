@@ -9,11 +9,8 @@ Given one anchor percentage the whole tree of winning percentages follows.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
-
-from .core import james_p
 
 __all__ = [
     "AnchorBoundaryError",
@@ -22,17 +19,12 @@ __all__ = [
     "DuplicateEdgeError",
     "ExtraEdgesError",
     "GraphError",
-    "InconsistentEdgeError",
     "PairwiseEdge",
     "RootedTree",
     "p_n_from_tree",
     "propagate_percentages",
     "validate_tree",
 ]
-
-# Path products switch to log-space accumulation past this imbalance.
-_LOG_SPACE_RATIO = 1e8
-
 
 class GraphError(ValueError):
     """Base class for competition-graph validation failures."""
@@ -51,21 +43,13 @@ class ExtraEdgesError(GraphError):
 
 
 class DisconnectedError(GraphError):
-    def __init__(self, unreachable: Iterable[str]):
+    def __init__(self, unreachable: Iterable[str], start: str):
         self.unreachable = sorted(unreachable)
-        super().__init__(f"vertices unreachable from root: {', '.join(self.unreachable)}")
+        super().__init__(f"vertices unreachable from {start!r}: {', '.join(self.unreachable)}")
 
 
 class AnchorBoundaryError(ValueError):
     pass
-
-
-class InconsistentEdgeError(GraphError):
-    """Reserved for non-tree inputs whose edges over-determine the percentages.
-
-    On a tree there are exactly as many constraints as unknowns, so this
-    cannot currently be raised.
-    """
 
 
 @dataclass(frozen=True)
@@ -120,74 +104,74 @@ class RootedTree:
     order: tuple[str, ...]  # breadth-first from the root, names sorted per level
 
 
-def _adjacency(g: CompetitionGraph) -> dict[str, dict[str, float]]:
-    """Neighbor map storing p(u beats v) for both orientations."""
+def _logit(p: float) -> float:
+    """log(p / (1 - p)) for 0 < p < 1."""
+    return math.log(p) - math.log1p(-p)
+
+
+def _sigmoid(x: float) -> float:
+    """1 / (1 + e^-x), through e^-|x| so that no magnitude of x overflows."""
+    e = math.exp(-abs(x))
+    return 1.0 / (1.0 + e) if x >= 0.0 else e / (1.0 + e)
+
+
+def _walk(
+    g: CompetitionGraph, start: str
+) -> tuple[dict[str, dict[str, float]], dict[str, str]]:
+    """Check that ``g`` is a tree and walk it breadth-first from ``start``.
+
+    Returns the adjacency, which maps u -> v -> the log-odds that u beats v
+    (so each reversed edge is the exact negation), and the parent of every
+    other vertex in visiting order; neighbors are visited in sorted name order.
+    """
     adj: dict[str, dict[str, float]] = {v: {} for v in g.vertices}
     for e in g.edges:
-        key = (min(e.u, e.v), max(e.u, e.v))
         if e.v in adj[e.u]:
-            raise DuplicateEdgeError(f"duplicate edge between {key[0]!r} and {key[1]!r}")
-        adj[e.u][e.v] = e.p_u_beats_v
-        adj[e.v][e.u] = 1.0 - e.p_u_beats_v
-    return adj
-
-
-def _bfs(adj: Mapping[str, Mapping[str, float]], start: str):
-    """Deterministic BFS: neighbors visited in sorted name order."""
-    parent: dict[str, str] = {}
-    order = [start]
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        for nbr in sorted(adj[node]):
-            if nbr not in seen:
-                seen.add(nbr)
-                parent[nbr] = node
-                order.append(nbr)
-                queue.append(nbr)
-    return parent, order
-
-
-def validate_tree(g: CompetitionGraph) -> RootedTree:
-    """Check that the known match-ups form a tree spanning all competitors."""
-    adj = _adjacency(g)
+            a, b = sorted((e.u, e.v))
+            raise DuplicateEdgeError(f"duplicate edge between {a!r} and {b!r}")
+        x = _logit(e.p_u_beats_v)
+        adj[e.u][e.v] = x
+        adj[e.v][e.u] = -x
     if len(g.edges) >= len(g.vertices):
         raise ExtraEdgesError(
             f"{len(g.edges)} edges over {len(g.vertices)} vertices: a cycle exists"
         )
-    parent, order = _bfs(adj, g.root)
+    parent: dict[str, str] = {}
+    order = [start]
+    for node in order:
+        for nbr in sorted(adj[node]):
+            if nbr != start and nbr not in parent:
+                parent[nbr] = node
+                order.append(nbr)
     if len(order) < len(g.vertices):
-        raise DisconnectedError(g.vertices - set(order))
+        raise DisconnectedError(g.vertices - set(order), start)
+    return adj, parent
+
+
+def validate_tree(g: CompetitionGraph) -> RootedTree:
+    """Check that the known match-ups form a tree spanning all competitors."""
+    adj, parent = _walk(g, g.root)
     p_parent_beats_child = {
-        child: adj[par][child] for child, par in parent.items()
+        child: _sigmoid(adj[par][child]) for child, par in parent.items()
     }
-    return RootedTree(g.root, parent, p_parent_beats_child, tuple(order))
+    return RootedTree(g.root, parent, p_parent_beats_child, (g.root, *parent))
 
 
 def p_n_from_tree(g: CompetitionGraph) -> float:
     """Path Formula: win probability of the root from the tree's edge probabilities.
 
     Each opponent contributes the product, along its path from the root, of
-    the ratios p(child beats parent) / p(parent beats child).
+    the ratios p(child beats parent) / p(parent beats child).  The products
+    are summed as log-odds with a max-shifted log-sum-exp.
     """
-    tree = validate_tree(g)
-    ratio: dict[str, float] = {tree.root: 1.0}
-    log_ratio: dict[str, float] = {tree.root: 0.0}
-    use_logs = False
-    for v in tree.order[1:]:
-        p = tree.p_parent_beats_child[v]
-        factor = (1.0 - p) / p
-        if factor > _LOG_SPACE_RATIO or factor < 1.0 / _LOG_SPACE_RATIO:
-            use_logs = True
-        par = tree.parent[v]
-        ratio[v] = ratio[par] * factor
-        log_ratio[v] = log_ratio[par] + math.log(factor)
-    if use_logs:
-        total = math.fsum(math.exp(log_ratio[v]) for v in tree.order[1:])
-    else:
-        total = math.fsum(ratio[v] for v in tree.order[1:])
-    return 1.0 / (1.0 + total)
+    adj, parent = _walk(g, g.root)
+    x = {g.root: 0.0}
+    for child, par in parent.items():
+        x[child] = x[par] - adj[par][child]
+    # With the root's own term e^0 = 1 included, P = 1 / (1 + sum) = e^-L,
+    # and L >= 0, so neither the sum nor the result can overflow.
+    m = max(x.values())
+    return math.exp(-(m + math.log(math.fsum(math.exp(v - m) for v in x.values()))))
 
 
 def propagate_percentages(
@@ -197,19 +181,20 @@ def propagate_percentages(
 
     Walks outward from the anchor; each known edge probability c between a
     solved vertex s and its neighbor t yields pct(t) = james_p(pct(s), c)
-    by the involutive property.  Result is independent of traversal order
-    on a tree; breadth-first with sorted names keeps it reproducible.
+    by the involutive property, i.e. logit(t) = logit(s) - logit(c).  Result
+    is independent of traversal order on a tree; breadth-first with sorted
+    names keeps it reproducible.
     """
-    validate_tree(g)
     if anchor not in g.vertices:
         raise GraphError(f"anchor {anchor!r} not among vertices")
+    adj, parent = _walk(g, anchor)
     pct = float(anchor_pct)
     if not 0.0 < pct < 1.0:
         raise AnchorBoundaryError("anchor percentage must lie strictly inside (0, 1)")
-    adj = _adjacency(g)
-    parent, order = _bfs(adj, anchor)
-    result = {anchor: pct}
-    for v in order[1:]:
-        s = parent[v]
-        result[v] = james_p(result[s], adj[s][v])
+    result = {anchor: _logit(pct)}
+    for child, par in parent.items():
+        result[child] = result[par] - adj[par][child]
+    for v, x in result.items():
+        result[v] = _sigmoid(x)
+    result[anchor] = pct  # the anchor keeps its exact input
     return result

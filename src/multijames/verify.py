@@ -20,7 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
-from .core import Contest, p_n, strength
+from .core import Contest, james_p, p_n, strength
 from .identities import _odds
 
 __all__ = [
@@ -91,11 +91,6 @@ class CanonicalFamily(CandidateFamily):
         return p_n(Contest(a, tuple(opponents)))
 
 
-def _pairwise(a: float, b: float) -> float:
-    num = a * (1.0 - b)
-    return num / (num + b * (1.0 - a))
-
-
 class NaiveProductFamily(CandidateFamily):
     """Treats the opponents as independent pairwise games: prod of P(a, b_i).
 
@@ -106,7 +101,7 @@ class NaiveProductFamily(CandidateFamily):
     name = "naive-product"
 
     def __call__(self, a: float, opponents: Sequence[float]) -> float:
-        return math.prod(_pairwise(a, b) for b in opponents)
+        return math.prod(james_p(a, b) for b in opponents)
 
 
 class SquaredOddsFamily(CandidateFamily):

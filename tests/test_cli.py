@@ -44,6 +44,22 @@ TRIANGLE_EDGES = {
     ],
 }
 
+# Each c_i beats c_{i+1} with probability 1e-200: the path odds overflow floats.
+LOPSIDED_CHAIN = {
+    "root": "c0",
+    "edges": [
+        {"u": f"c{i}", "v": f"c{i + 1}", "p_u_beats_v": 1e-200} for i in range(63)
+    ],
+}
+
+SPLIT_EDGES = {
+    "root": "A",
+    "edges": [
+        {"u": "A", "v": "B1", "p_u_beats_v": 0.5},
+        {"u": "B2", "v": "B3", "p_u_beats_v": 0.5},
+    ],
+}
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -176,6 +192,13 @@ class TestInferTree:
         assert code == 0
         assert result["probability"] == pytest.approx(9 / 17, rel=1e-14)
 
+    @pytest.mark.parametrize("root, expected", [("c0", 0.0), ("c63", 1.0)])
+    def test_lopsided_chain(self, capsys, tmp_path, root, expected):
+        path = write_json(tmp_path, "lopsided.json", LOPSIDED_CHAIN)
+        code, payload, _ = run_json(capsys, "infer-tree", path, "--root", root)
+        assert code == 0
+        assert payload["probability"] == expected
+
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -208,6 +231,18 @@ class TestPropagate:
         path = write_json(tmp_path, "chain.json", CHAIN_EDGES)
         code, _, _ = run(capsys, "propagate", path, "--anchor", "A=1.0")
         assert code == 2
+
+    def test_anchor_outside_root_component(self, capsys, tmp_path):
+        path = write_json(tmp_path, "split.json", SPLIT_EDGES)
+        code, _, err = run(capsys, "propagate", path, "--anchor", "B2=0.5")
+        assert code == 3
+        assert "DisconnectedError" in err
+
+    def test_graph_error_precedes_boundary_anchor(self, capsys, tmp_path):
+        path = write_json(tmp_path, "triangle.json", TRIANGLE_EDGES)
+        code, _, err = run(capsys, "propagate", path, "--anchor", "A=1.0")
+        assert code == 3
+        assert "ExtraEdgesError" in err
 
 
 class TestIngest:

@@ -11,7 +11,6 @@ from multijames import (
     UndefinedContestError,
     balanced_opposition,
     classify_contest,
-    involution_partner,
     james_p,
     level_transform,
     p_n,
@@ -171,31 +170,26 @@ class TestPn:
 
 
 class TestInvolution:
+    # james_p(a, .) is its own inverse: james_p(a, james_p(a, b)) = b.
     def test_frozen_value(self):
         expected = exact_james(Fraction(3, 5), Fraction(3, 4))
         assert expected == Fraction(1, 3)
-        c = involution_partner(0.6, 0.75)
+        c = james_p(0.6, 0.75)
         assert c == pytest.approx(float(expected), rel=1e-14)
         assert james_p(0.6, c) == pytest.approx(0.75, rel=1e-12)
 
     @given(interior)
     def test_half_maps_to_self(self, a):
-        assert involution_partner(a, 0.5) == pytest.approx(a, abs=1e-15)
-        assert involution_partner(a, a) == pytest.approx(0.5, abs=1e-12)
+        assert james_p(a, 0.5) == pytest.approx(a, abs=1e-15)
+        assert james_p(a, a) == pytest.approx(0.5, abs=1e-12)
 
     @given(interior)
     def test_half_protagonist_complements(self, b):
-        assert involution_partner(0.5, b) == pytest.approx(1 - b, abs=1e-15)
+        assert james_p(0.5, b) == pytest.approx(1 - b, abs=1e-15)
 
     @given(interior, interior)
     def test_involution_round_trip(self, a, b):
         assert james_p(a, james_p(a, b)) == pytest.approx(b, rel=1e-12, abs=1e-12)
-
-    def test_rejects_boundary_protagonist(self):
-        with pytest.raises(ValueError):
-            involution_partner(0.0, 0.5)
-        with pytest.raises(ValueError):
-            involution_partner(1.0, 0.5)
 
 
 class TestSolveProtagonistComplement:
@@ -242,6 +236,11 @@ class TestLevelTransform:
             level_transform(0.5, 0.0)
         with pytest.raises(ValueError):
             level_transform(0.5, -2.0)
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_rejects_non_finite_scale(self, t):
+        with pytest.raises(ValueError):
+            level_transform(0.5, t)
 
     @given(st.floats(0.0, 0.999), st.floats(0.01, 100.0))
     def test_scales_strength(self, s, t):

@@ -7,32 +7,25 @@ from multijames.simulate import (
     SimConfig,
     SimResult,
     estimate_p_n,
-    simulate_round,
 )
 
 
 class TestSimulateRound:
+    # With one round per trial, each trial is a single round of the process.
     def test_sure_winner(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            assert simulate_round(rng, 1.0, (0.0, 0.0)) == 0
-
-    def test_never_resolves(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            assert simulate_round(rng, 0.0, (0.0,)) is None
+        result = estimate_p_n(Contest(1.0, (0.0, 0.0)), SimConfig(trials=50, seed=0))
+        assert result.win_probability_estimate == 1.0
+        assert result.trials_abandoned == 0
 
     def test_even_pair_distribution(self):
         # Four equally likely draw patterns: winner 0, winner 1, or no winner
         # (both or neither succeed), with probabilities 1/4, 1/4, 1/2.
-        rng = np.random.default_rng(123)
-        counts = {0: 0, 1: 0, None: 0}
         trials = 40_000
-        for _ in range(trials):
-            counts[simulate_round(rng, 0.5, (0.5,))] += 1
-        assert counts[0] / trials == pytest.approx(0.25, abs=0.01)
-        assert counts[1] / trials == pytest.approx(0.25, abs=0.01)
-        assert counts[None] / trials == pytest.approx(0.5, abs=0.01)
+        cfg = SimConfig(trials=trials, max_rounds_per_trial=1, seed=123)
+        result = estimate_p_n(Contest(0.5, (0.5,)), cfg)
+        assert result.per_competitor_wins[0] / trials == pytest.approx(0.25, abs=0.01)
+        assert result.per_competitor_wins[1] / trials == pytest.approx(0.25, abs=0.01)
+        assert result.trials_abandoned / trials == pytest.approx(0.5, abs=0.01)
 
 
 class TestEstimate:

@@ -37,6 +37,13 @@ def figure_graph(prob=0.5):
     )
 
 
+def lopsided_chain(root):
+    # Every edge is won by its far end with probability 1 - 1e-200, so the
+    # path odds span about 63 * 460 nats: far outside the float range.
+    edges = tuple(PairwiseEdge(f"c{i}", f"c{i + 1}", 1e-200) for i in range(63))
+    return CompetitionGraph(root, edges)
+
+
 def chain_graph():
     return CompetitionGraph(
         "A", (PairwiseEdge("A", "B1", 0.6), PairwiseEdge("B1", "B2", 0.75))
@@ -152,8 +159,8 @@ class TestPathFormula:
             assert p_n_from_tree(CompetitionGraph("A", tuple(edges))) == value
 
     def test_lopsided_chain_stays_finite(self):
-        # Nine consecutive 0.999... edges push the naive ratio product
-        # far below the log-space threshold without breaking the result.
+        # Nine consecutive 0.999... edges shrink the path ratio product to
+        # about 1e-81 without breaking the result.
         edges = []
         names = ["A"] + [f"B{i}" for i in range(1, 10)]
         for i in range(9):
@@ -161,6 +168,12 @@ class TestPathFormula:
         value = p_n_from_tree(CompetitionGraph("A", tuple(edges)))
         assert 0.0 < value < 1.0
         assert value == pytest.approx(1.0, abs=1e-8)
+
+    def test_lopsided_chain_weak_root_loses(self):
+        assert p_n_from_tree(lopsided_chain("c0")) == 0.0
+
+    def test_lopsided_chain_strong_root_wins(self):
+        assert p_n_from_tree(lopsided_chain("c63")) == 1.0
 
 
 class TestPropagation:
@@ -191,6 +204,16 @@ class TestPropagation:
     def test_unknown_anchor(self):
         with pytest.raises(GraphError):
             propagate_percentages(chain_graph(), "Q", 0.5)
+
+    def test_anchor_outside_root_component(self):
+        g = CompetitionGraph(
+            "A",
+            (PairwiseEdge("A", "B1", 0.5), PairwiseEdge("B2", "B3", 0.5)),
+        )
+        with pytest.raises(DisconnectedError) as excinfo:
+            propagate_percentages(g, "B2", 0.5)
+        assert excinfo.value.unreachable == ["A", "B1"]
+        assert "'B2'" in str(excinfo.value)
 
 
 class TestRoundTrip:
