@@ -1,7 +1,8 @@
 """Command-line interface tying the evaluators, simulator, and verifier together.
 
 Exit codes: 0 ok, 1 failed verification checks, 2 undefined contest (or
-other invalid percentages), 3 competition-graph error, 4 input parse error.
+other invalid percentages, or too few simulated trials resolved), 3
+competition-graph error, 4 input parse error.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .simulate import SimConfig, estimate_p_n
+    from .simulate import AllTrialsAbandonedError, SimConfig, estimate_p_n
 
     contest = Contest(args.protagonist, _parse_percent_list(args.opponents))
     cfg = SimConfig(
@@ -121,7 +122,11 @@ def cmd_simulate(args) -> int:
         max_rounds_per_trial=args.max_rounds,
         seed=args.seed,
     )
-    result = estimate_p_n(contest, cfg)
+    try:
+        result = estimate_p_n(contest, cfg)
+    except AllTrialsAbandonedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNDEFINED
     closed = p_n(contest)
     z = (
         (result.win_probability_estimate - closed) / result.standard_error
@@ -134,6 +139,7 @@ def cmd_simulate(args) -> int:
             "standard_error": result.standard_error,
             "trials_completed": result.trials_completed,
             "trials_abandoned": result.trials_abandoned,
+            "per_competitor_wins": list(result.per_competitor_wins.values()),
             "closed_form": closed,
             "z_score": z,
             "seed": args.seed,

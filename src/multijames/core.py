@@ -142,7 +142,10 @@ def p_n(c: Contest) -> float:
         return james_p(a, live[0])
     # r_i = q(b_i)/q(a), each term bounded so long as b_i < 1.  fsum gives a
     # correctly rounded total, so the result is permutation invariant.
-    ratios = [(b * (1.0 - a)) / (a * (1.0 - b)) for b in live]
+    # Dividing by a first lets a subnormal a overflow to inf (result 0.0)
+    # where a * (1 - b) would underflow to 0 and divide by zero.
+    k = (1.0 - a) / a
+    ratios = [b * k / (1.0 - b) for b in live]
     return 1.0 / (1.0 + math.fsum(ratios))
 
 

@@ -1,13 +1,26 @@
 """Monte Carlo oracle for the multi-opponent win probability.
 
-Implements the literal generative process: every competitor independently
-draws a Bernoulli success each round, a round with exactly one success
-declares that competitor the winner, and unresolved rounds repeat.  The
-estimate never touches the closed-form evaluators, so it can validate them.
+The process: in each round every competitor independently succeeds with
+its percentage s_i; a round with exactly one success declares that
+competitor the winner, and any other round is replayed, up to a cap of R
+rounds per trial.
+
+The simulator samples the exact law of that process without playing its
+rounds.  Competitor i alone succeeds in a round with probability
+w_i = s_i * prod_{j != i} (1 - s_j), so a round is decisive with
+probability P1 = sum_i w_i.  Rounds are independent, so a trial is decided
+after a Geometric(P1) number of rounds, and the winner of the deciding
+round is i with probability w_i / P1 however many rounds it took.  A trial
+is therefore abandoned with probability (1 - P1)^R, and a batch of trials
+takes two draws: a Binomial count of abandoned trials, then Multinomial
+winner counts over the rest.  Only the per-round Bernoulli model enters,
+never the closed form, so the estimate can validate the closed-form
+evaluators.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,15 +28,19 @@ import numpy as np
 from .core import Contest, ContestClass, UndefinedContestError, classify_contest
 
 __all__ = [
+    "MIN_RESOLVED_TRIALS",
     "AllTrialsAbandonedError",
     "SimConfig",
     "SimResult",
     "estimate_p_n",
 ]
 
+# Below this many resolved trials the plug-in standard error means nothing.
+MIN_RESOLVED_TRIALS = 30
+
 
 class AllTrialsAbandonedError(RuntimeError):
-    """Every trial hit the round cap without producing a winner."""
+    """Fewer than MIN_RESOLVED_TRIALS trials produced a winner within the round cap."""
 
 
 @dataclass(frozen=True)
@@ -62,28 +79,16 @@ def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(batch_index,)))
 
 
-def _run_batch(
-    rng: np.random.Generator, probs: np.ndarray, trials: int, max_rounds: int
-) -> tuple[np.ndarray, int]:
-    """Run one batch of trials to resolution; returns (wins per index, abandoned).
+def _round_weights(probs: np.ndarray) -> np.ndarray:
+    """w_i = s_i * prod_{j != i} (1 - s_j), the chance that i alone succeeds.
 
-    Unresolved trials are exchangeable, so only their count needs tracking:
-    each round redraws one row per still-active trial.
+    Built from prefix and suffix products of the failure chances with no
+    division, so a competitor with s_j = 1 needs no special case.
     """
-    wins = np.zeros(probs.size, dtype=np.int64)
-    active = trials
-    for _ in range(max_rounds):
-        if active == 0:
-            break
-        draws = rng.random((active, probs.size)) < probs
-        totals = draws.sum(axis=1)
-        decided = totals == 1
-        n_decided = int(decided.sum())
-        if n_decided:
-            winners = draws[decided].argmax(axis=1)
-            wins += np.bincount(winners, minlength=probs.size)
-            active -= n_decided
-    return wins, active
+    fail = 1.0 - probs
+    prefix = np.concatenate(([1.0], np.cumprod(fail[:-1])))
+    suffix = np.concatenate((np.cumprod(fail[:0:-1])[::-1], [1.0]))
+    return probs * prefix * suffix
 
 
 def estimate_p_n(c: Contest, cfg: SimConfig) -> SimResult:
@@ -91,28 +96,39 @@ def estimate_p_n(c: Contest, cfg: SimConfig) -> SimResult:
 
     Trials that never resolve within the round cap are excluded from the
     denominator (the closed form likewise conditions on resolution) and
-    reported in ``trials_abandoned``.
+    reported in ``trials_abandoned``.  Raises ``AllTrialsAbandonedError``
+    when fewer than ``MIN_RESOLVED_TRIALS`` trials resolve, and
+    ``UndefinedContestError`` for an undefined contest.
     """
     if classify_contest(c) is ContestClass.UNDEFINED:
         raise UndefinedContestError("cannot simulate an undefined contest")
-    probs = np.asarray([c.protagonist, *c.opponents], dtype=float)
-    wins = np.zeros(probs.size, dtype=np.int64)
+    weights = _round_weights(np.asarray([c.protagonist, *c.opponents], dtype=float))
+    p_decisive = math.fsum(weights)
+    # (1 - P1)^R; P1 may round to 1, where log1p(-1) would raise.
+    p_unresolved = (
+        0.0
+        if p_decisive >= 1.0
+        else math.exp(cfg.max_rounds_per_trial * math.log1p(-p_decisive))
+    )
+    wins = np.zeros(weights.size, dtype=np.int64)
     abandoned = 0
     remaining = cfg.trials
     batch_index = 0
     while remaining > 0:
         batch = min(cfg.batch_size, remaining)
-        batch_wins, batch_abandoned = _run_batch(
-            _batch_rng(cfg.seed, batch_index), probs, batch, cfg.max_rounds_per_trial
-        )
-        wins += batch_wins
+        rng = _batch_rng(cfg.seed, batch_index)
+        batch_abandoned = int(rng.binomial(batch, p_unresolved))
+        # When P1 underflows to 0 every trial is abandoned and w / P1 is nan.
+        if batch_abandoned < batch:
+            wins += rng.multinomial(batch - batch_abandoned, weights / p_decisive)
         abandoned += batch_abandoned
         remaining -= batch
         batch_index += 1
     completed = cfg.trials - abandoned
-    if completed == 0:
+    if completed < MIN_RESOLVED_TRIALS:
         raise AllTrialsAbandonedError(
-            f"no trial resolved within {cfg.max_rounds_per_trial} rounds"
+            f"only {completed} of {cfg.trials} trials resolved within "
+            f"{cfg.max_rounds_per_trial} rounds; at least {MIN_RESOLVED_TRIALS} are needed"
         )
     estimate = wins[0] / completed
     se = float(np.sqrt(estimate * (1.0 - estimate) / completed))

@@ -141,6 +141,12 @@ class TestPredict:
         )
         assert code == 4
 
+    def test_subnormal_protagonist(self, capsys):
+        code, payload, err = run_json(capsys, "predict", "-a", "5e-324", "-b", "0.5,0.5")
+        assert code == 0
+        assert payload["probability"] == 0.0
+        assert err == ""
+
 
 class TestSimulate:
     def test_deterministic_estimate(self, capsys):
@@ -161,6 +167,28 @@ class TestSimulate:
     def test_undefined_contest(self, capsys):
         code, _, _ = run(capsys, "simulate", "-a", "0", "-b", "0", "-n", "100")
         assert code == 2
+
+    def test_per_competitor_wins(self, capsys):
+        code, payload, _ = run_json(capsys, "simulate", "-a", "0.5", "-b", "0.8,0.5", "-n", "20000")
+        assert code == 0
+        wins = payload["per_competitor_wins"]
+        assert len(wins) == 3
+        assert sum(wins) == payload["trials_completed"]
+        assert wins[0] / payload["trials_completed"] == payload["estimate"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "-a", "1e-12", "-b", "1e-12", "--max-rounds", "1", "-n", "100"),
+            # About 8e-4 of these trials resolve within the default round cap.
+            ("--seed", "0", "simulate", "-a", "0.9", "-b", ",".join(["0.9"] * 8), "-n", "1000"),
+        ],
+    )
+    def test_too_few_resolved(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: only ") and "Traceback" not in err
 
 
 class TestInferTree:

@@ -120,6 +120,11 @@ class TestPn:
         with pytest.raises(UndefinedContestError):
             p_n(Contest(0.0, (0.0, 0.0)))
 
+    def test_subnormal_protagonist(self):
+        # The odds ratios overflow to inf rather than dividing by an
+        # underflowed a * (1 - b); the exact value is below the least subnormal.
+        assert p_n(Contest(5e-324, (0.5, 0.5))) == 0.0
+
     @given(interior, interior)
     def test_single_opponent_matches_james_exactly(self, a, b):
         assert p_n(Contest(a, (b,))) == james_p(a, b)
