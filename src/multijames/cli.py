@@ -1,8 +1,8 @@
 """Command-line interface tying the evaluators, simulator, and verifier together.
 
 Exit codes: 0 ok, 1 failed verification checks, 2 undefined contest (or
-other invalid percentages, or too few simulated trials resolved), 3
-competition-graph error, 4 input parse error.
+other invalid percentages, or too few simulated trials requested or
+resolved), 3 competition-graph error, 4 input parse error.
 """
 
 from __future__ import annotations

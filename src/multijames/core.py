@@ -118,8 +118,8 @@ def james_p(a: float, b: float) -> float:
 def p_n(c: Contest) -> float:
     """Probability that the protagonist beats every opponent at once.
 
-    Evaluated as 1 / (1 + sum of per-opponent odds ratios), which avoids
-    overflowing intermediate strength sums when percentages approach 1.
+    Evaluated as a / (a + (1 - a) * sum of opponent strengths), which never
+    forms the protagonist's strength, so it does not overflow as a approaches 1.
     """
     cls = classify_contest(c)
     if cls is ContestClass.UNDEFINED:
@@ -140,13 +140,12 @@ def p_n(c: Contest) -> float:
         return 1.0
     if len(live) == 1:
         return james_p(a, live[0])
-    # r_i = q(b_i)/q(a), each term bounded so long as b_i < 1.  fsum gives a
-    # correctly rounded total, so the result is permutation invariant.
-    # Dividing by a first lets a subnormal a overflow to inf (result 0.0)
-    # where a * (1 - b) would underflow to 0 and divide by zero.
-    k = (1.0 - a) / a
-    ratios = [b * k / (1.0 - b) for b in live]
-    return 1.0 / (1.0 + math.fsum(ratios))
+    # q(a) / (q(a) + sum q(b_i)) multiplied through by 1 - a.  Each q(b_i) is
+    # bounded so long as b_i < 1, and fsum gives a correctly rounded total, so
+    # the result is permutation invariant.  Nothing divides by a, so a
+    # subnormal protagonist needs no special case.
+    total = math.fsum([b / (1.0 - b) for b in live])
+    return a / (a + (1.0 - a) * total)
 
 
 def solve_protagonist_complement(opponents: Sequence[float], c: float) -> float:

@@ -40,7 +40,7 @@ MIN_RESOLVED_TRIALS = 30
 
 
 class AllTrialsAbandonedError(RuntimeError):
-    """Fewer than MIN_RESOLVED_TRIALS trials produced a winner within the round cap."""
+    """The round cap left fewer than MIN_RESOLVED_TRIALS trials with a winner."""
 
 
 @dataclass(frozen=True)
@@ -96,12 +96,15 @@ def estimate_p_n(c: Contest, cfg: SimConfig) -> SimResult:
 
     Trials that never resolve within the round cap are excluded from the
     denominator (the closed form likewise conditions on resolution) and
-    reported in ``trials_abandoned``.  Raises ``AllTrialsAbandonedError``
-    when fewer than ``MIN_RESOLVED_TRIALS`` trials resolve, and
-    ``UndefinedContestError`` for an undefined contest.
+    reported in ``trials_abandoned``.  Raises ``UndefinedContestError`` for
+    an undefined contest, ``ValueError`` when ``cfg.trials`` is below
+    ``MIN_RESOLVED_TRIALS``, and ``AllTrialsAbandonedError`` when the round
+    cap leaves fewer than ``MIN_RESOLVED_TRIALS`` trials resolved.
     """
     if classify_contest(c) is ContestClass.UNDEFINED:
         raise UndefinedContestError("cannot simulate an undefined contest")
+    if cfg.trials < MIN_RESOLVED_TRIALS:
+        raise ValueError(f"simulate needs at least {MIN_RESOLVED_TRIALS} trials, got {cfg.trials}")
     weights = _round_weights(np.asarray([c.protagonist, *c.opponents], dtype=float))
     p_decisive = math.fsum(weights)
     # (1 - P1)^R; P1 may round to 1, where log1p(-1) would raise.

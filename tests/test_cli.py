@@ -141,10 +141,14 @@ class TestPredict:
         )
         assert code == 4
 
-    def test_subnormal_protagonist(self, capsys):
-        code, payload, err = run_json(capsys, "predict", "-a", "5e-324", "-b", "0.5,0.5")
+    @pytest.mark.parametrize(
+        "a, opponents, expected",
+        [("5e-324", "0.5,0.5", 0.0), ("1e-310", "1e-300,1e-300", 5e-11)],
+    )
+    def test_subnormal_protagonist(self, capsys, a, opponents, expected):
+        code, payload, err = run_json(capsys, "predict", "-a", a, "-b", opponents)
         assert code == 0
-        assert payload["probability"] == 0.0
+        assert payload["probability"] == pytest.approx(expected, rel=1e-9, abs=0.0)
         assert err == ""
 
 
@@ -189,6 +193,12 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert err.startswith("error: only ") and "Traceback" not in err
+
+    def test_too_few_trials(self, capsys):
+        code, out, err = run(capsys, "simulate", "-a", "0.5", "-b", "0.5", "-n", "10")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: simulate needs at least 30 trials")
 
 
 class TestInferTree:

@@ -121,9 +121,12 @@ class TestPn:
             p_n(Contest(0.0, (0.0, 0.0)))
 
     def test_subnormal_protagonist(self):
-        # The odds ratios overflow to inf rather than dividing by an
-        # underflowed a * (1 - b); the exact value is below the least subnormal.
+        # Nothing divides by a or by an underflowed a * (1 - b).  Against two
+        # even opponents the exact value, about 2.5e-324, lies within one
+        # subnormal step of 0.0; against weak opponents it is an ordinary float.
         assert p_n(Contest(5e-324, (0.5, 0.5))) == 0.0
+        assert p_n(Contest(1e-310, (1e-300, 1e-300))) == pytest.approx(5e-11, rel=1e-9)
+        assert p_n(Contest(5e-324, (1e-300, 1e-300))) == pytest.approx(2.47032822921e-24, rel=1e-9)
 
     @given(interior, interior)
     def test_single_opponent_matches_james_exactly(self, a, b):

@@ -164,7 +164,8 @@ class TestEstimate:
         contest = Contest(1.0, (0.0,))
         result = estimate_p_n(contest, SimConfig(trials=MIN_RESOLVED_TRIALS))
         assert result.trials_completed == MIN_RESOLVED_TRIALS
-        with pytest.raises(AllTrialsAbandonedError):
+        # Too few trials is a bad request, not a round-cap failure.
+        with pytest.raises(ValueError, match="at least 30 trials"):
             estimate_p_n(contest, SimConfig(trials=MIN_RESOLVED_TRIALS - 1))
 
     def test_all_abandoned_raises(self):
