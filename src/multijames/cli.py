@@ -137,6 +137,7 @@ def cmd_simulate(args) -> int:
         {
             "estimate": result.win_probability_estimate,
             "standard_error": result.standard_error,
+            "wilson_95": list(result.wilson_95),
             "trials_completed": result.trials_completed,
             "trials_abandoned": result.trials_abandoned,
             "per_competitor_wins": list(result.per_competitor_wins.values()),

@@ -10,6 +10,7 @@ arithmetic to the direct evaluator.
 from __future__ import annotations
 
 import math
+from itertools import compress
 from typing import Sequence
 
 from .core import (
@@ -59,17 +60,43 @@ def p_n_product_form(c: Contest) -> float:
     Numerator a * prod(1-b_i); denominator adds one term per opponent j of
     b_j (1-a) * prod over i != j of (1-b_i).  Handles a single boundary
     percentage (0 or 1) without special casing.
+
+    The products over i != j come from prefix and suffix products, so the
+    cost is O(n), and nothing divides by 1 - b_i.  Every factor and product
+    is carried as a ``math.frexp`` mantissa in [0.5, 1) and a separate
+    exponent, so 200 factors of 0.001 do not underflow; the terms are
+    rescaled by the largest exponent before one ``fsum``.
     """
     if classify_contest(c) is ContestClass.UNDEFINED:
         raise UndefinedContestError("probability undefined for this contest")
-    a = c.protagonist
-    bs = c.opponents
-    num = a * math.prod(1.0 - b for b in bs)
-    terms = [
-        b * (1.0 - a) * math.prod(1.0 - x for i, x in enumerate(bs) if i != j)
-        for j, b in enumerate(bs)
-    ]
-    return num / (num + math.fsum(terms))
+    # mants[j] * 2**exps[j] is term j; it starts as prod_{i > j} (1 - b_i).
+    mants: list[float] = []
+    exps: list[int] = []
+    m, e = 1.0, 0
+    for b in reversed(c.opponents):
+        mants.append(m)
+        exps.append(e)
+        m, shift = math.frexp(m * (1.0 - b))
+        e += shift
+    mants.reverse()
+    exps.reverse()
+    # Then m, e run over the prefix products prod_{i < j} (1 - b_i).
+    lose_m, lose_e = math.frexp(1.0 - c.protagonist)
+    m, e = 1.0, 0
+    for j, b in enumerate(c.opponents):
+        b_m, b_e = math.frexp(b)
+        mants[j] *= b_m * lose_m * m
+        exps[j] += b_e + lose_e + e
+        m, shift = math.frexp(m * (1.0 - b))
+        e += shift
+    a_m, a_e = math.frexp(c.protagonist)
+    mants.append(a_m * m)
+    exps.append(a_e + e)
+    # A zero term's exponent means nothing; a defined contest has a nonzero term.
+    top = max(compress(exps, mants))
+    scaled = [math.ldexp(y, x - top) for x, y in zip(exps, mants)]
+    num = scaled.pop()
+    return num / (num + math.fsum(scaled))
 
 
 def odds_from_sum(c: Contest) -> float:

@@ -3,6 +3,15 @@
 An event with k finishers is scored as all C(k, 2) head-to-head games: the
 better-placed competitor beats each competitor ranked below it.  A third-place
 finisher out of ten therefore picks up seven wins and two losses.
+
+Standings never list those games one by one.  A finisher's wins and losses
+in an event follow from how many ranks are better, equal and worse than its
+own: a valid rank r has r - 1 better finishers, and one count per rank gives
+the ties, so they cost O(k log k) with the sort that validates the ranks.
+Only the pairwise table is inherently quadratic: it is built as one dict of
+the event's C(k, 2) name pairs, each mapped to a shared score tuple, and
+merged into the running table.  Every score is a multiple of 0.5, so the
+totals equal the game-by-game sums exactly.
 """
 
 from __future__ import annotations
@@ -11,7 +20,8 @@ import warnings
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from itertools import combinations
+from typing import Iterable
 
 __all__ = [
     "EventRecord",
@@ -43,13 +53,25 @@ class UnbalancedScheduleWarning(UserWarning):
     """Pairwise records are far from the equal-schedule assumption."""
 
 
+def _integral_rank(event_id: str, rank) -> int:
+    # int() truncates 1.5 and parses "1"; only a number equal to an integer is a rank.
+    try:
+        if int(rank) == rank:
+            return int(rank)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise MalformedRanksError(f"event {event_id!r}: rank {rank!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class EventRecord:
     event_id: str
     placements: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
-        placements = tuple((str(name), int(rank)) for name, rank in self.placements)
+        placements = tuple(
+            (str(name), _integral_rank(self.event_id, rank)) for name, rank in self.placements
+        )
         if len(placements) < 2:
             raise MalformedRanksError(
                 f"event {self.event_id!r}: needs at least 2 competitors"
@@ -74,44 +96,57 @@ class PairResult:
     v_score: float
 
 
-def _validate_ranks(e: EventRecord, ties: TiesPolicy) -> None:
+# (u's score, v's score) for one game, shared by every pair with that outcome.
+_U_WINS = (1.0, 0.0)
+_V_WINS = (0.0, 1.0)
+_TIE = (0.5, 0.5)
+
+
+def _score(rank_u: int, rank_v: int) -> tuple[float, float]:
+    """The better (lower) rank wins the game; equal ranks split it."""
+    return _U_WINS if rank_u < rank_v else _V_WINS if rank_v < rank_u else _TIE
+
+
+def _validate_ranks(e: EventRecord, ties: TiesPolicy) -> list[int]:
+    """The event's ranks, sorted, once they are valid under ``ties``.
+
+    Under REJECT the ranks must be 1..k, and a tie is reported before any
+    other defect.  Under HALF they follow competition ranking: a rank equals
+    1 + the number of strictly better finishers, so (1, 1, 3) is valid and
+    (1, 1, 2) is not.
+    """
     ranks = sorted(rank for _, rank in e.placements)
-    k = len(ranks)
+    tied = broken = False
+    previous = 0
+    # In sorted order, a rank that does not repeat its predecessor must equal
+    # its 1-based position.
+    for position, rank in enumerate(ranks, start=1):
+        if rank == previous:
+            tied = True
+        elif rank != position:
+            broken = True
+        previous = rank
     if ties is TiesPolicy.REJECT:
-        if len(set(ranks)) != k:
+        if tied:
             raise TiedRanksError(f"event {e.event_id!r}: tied ranks {ranks}")
-        if ranks != list(range(1, k + 1)):
+        if broken:
             raise MalformedRanksError(
-                f"event {e.event_id!r}: ranks {ranks} are not a permutation of 1..{k}"
+                f"event {e.event_id!r}: ranks {ranks} are not a permutation of 1..{len(ranks)}"
             )
-    else:
-        # Competition ranking: a rank equals 1 + the number of strictly
-        # better finishers, so (1, 1, 3) is valid and (1, 1, 2) is not.
-        counts = Counter(ranks)
-        for rank in counts:
-            better = sum(c for r, c in counts.items() if r < rank)
-            if rank != better + 1:
-                raise MalformedRanksError(
-                    f"event {e.event_id!r}: ranks {ranks} break competition ranking"
-                )
+    elif broken:
+        raise MalformedRanksError(
+            f"event {e.event_id!r}: ranks {ranks} break competition ranking"
+        )
+    return ranks
 
 
 def expand_event(e: EventRecord, ties: TiesPolicy = TiesPolicy.REJECT) -> list[PairResult]:
     """All-pairs results for one event, one entry per unordered pair."""
     _validate_ranks(e, ties)
-    results = []
-    placements = e.placements
-    for i in range(len(placements)):
-        name_i, rank_i = placements[i]
-        for j in range(i + 1, len(placements)):
-            name_j, rank_j = placements[j]
-            if rank_i < rank_j:
-                results.append(PairResult(name_i, name_j, 1.0, 0.0))
-            elif rank_j < rank_i:
-                results.append(PairResult(name_i, name_j, 0.0, 1.0))
-            else:
-                results.append(PairResult(name_i, name_j, 0.5, 0.5))
-    return results
+    return [
+        PairResult(u, v, *_score(rank_u, rank_v))
+        for (u, rank_u), (v, rank_v) in combinations(e.placements, 2)
+    ]
 
 
 @dataclass
@@ -157,23 +192,29 @@ def build_standings(
     """Aggregate all-pairs results over events; order of events is irrelevant."""
     wins: dict[str, float] = defaultdict(float)
     losses: dict[str, float] = defaultdict(float)
-    pairwise: dict[tuple[str, str], list[float]] = defaultdict(lambda: [0.0, 0.0])
+    pairwise: dict[tuple[str, str], tuple[float, float]] = {}
     for event in events:
-        for r in expand_event(event, ties):
-            u, v = sorted((r.u, r.v))
-            u_score = r.u_score if u == r.u else r.v_score
-            wins[u] += u_score
-            losses[u] += 1.0 - u_score
-            wins[v] += 1.0 - u_score
-            losses[v] += u_score
-            cell = pairwise[(u, v)]
-            cell[0] += u_score
-            cell[1] += 1.0 - u_score
+        ranks = _validate_ranks(event, ties)
+        # A valid rank is 1 + the number of strictly better finishers.
+        counts = Counter(ranks)
+        for name, rank in event.placements:
+            better = rank - 1
+            tied = counts[rank] - 1
+            worse = len(ranks) - rank - tied
+            wins[name] += worse + 0.5 * tied
+            losses[name] += better + 0.5 * tied
+        # Names in an event are distinct, so this orders by name and every
+        # key comes out as (u, v) with u < v.
+        cells = {
+            (u, v): _score(rank_u, rank_v)
+            for (u, rank_u), (v, rank_v) in combinations(sorted(event.placements), 2)
+        }
+        for key in cells.keys() & pairwise.keys():
+            (u_total, v_total), (u_score, v_score) = pairwise[key], cells[key]
+            cells[key] = (u_total + u_score, v_total + v_score)
+        pairwise.update(cells)
     standings = Standings(
-        wins=dict(wins),
-        losses=dict(losses),
-        pairwise={k: (v[0], v[1]) for k, v in pairwise.items()},
-        ties_policy=ties,
+        wins=dict(wins), losses=dict(losses), pairwise=pairwise, ties_policy=ties
     )
     games = [standings.games(name) for name in standings.competitors()]
     if games and max(games) > 10 * min(games):

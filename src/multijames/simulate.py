@@ -37,6 +37,8 @@ __all__ = [
 
 # Below this many resolved trials the plug-in standard error means nothing.
 MIN_RESOLVED_TRIALS = 30
+# The standard normal quantile for a two-sided 95% interval.
+_Z95 = 1.959963984540054
 
 
 class AllTrialsAbandonedError(RuntimeError):
@@ -73,6 +75,29 @@ class SimResult:
     @property
     def trials(self) -> int:
         return self.trials_completed + self.trials_abandoned
+
+    @property
+    def wilson_95(self) -> tuple[float, float]:
+        """Wilson score 95% interval for the win probability over resolved trials.
+
+        Unlike estimate +- 1.96 standard errors, it does not collapse to a
+        point when the protagonist wins none or all of the trials.
+        """
+        n = self.trials_completed
+        z2 = _Z95 * _Z95
+
+        def lower(p: float) -> float:
+            # The bounds are the roots of (1 + z^2/n) x^2 - (2p + z^2/n) x + p^2 = 0.
+            # The larger is t / (1 + z^2/n), with t below; the smaller, taken as
+            # the product of the roots over the larger, is p^2 / t.  This form
+            # has no cancellation and is exactly 0 at p = 0.
+            t = p + z2 / (2 * n) + _Z95 * math.sqrt(p * (1.0 - p) / n + z2 / (4 * n * n))
+            return p * p / t
+
+        # The interval for 1 - p mirrors the one for p, so the upper bound is
+        # exactly 1 at p = 1.
+        p = self.win_probability_estimate
+        return lower(p), 1.0 - lower(1.0 - p)
 
 
 def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:

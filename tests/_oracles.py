@@ -4,7 +4,9 @@ Everything here works in Fraction arithmetic straight from the defining
 formulas, independent of the floating-point code paths under test.
 """
 
+import operator
 from fractions import Fraction
+from itertools import accumulate
 
 
 def exact_strength(s: Fraction) -> Fraction:
@@ -19,3 +21,19 @@ def exact_james(a: Fraction, b: Fraction) -> Fraction:
 def exact_p_n(a: Fraction, opponents) -> Fraction:
     qa = exact_strength(a)
     return qa / (qa + sum(exact_strength(Fraction(b)) for b in opponents))
+
+
+def exact_product_form(a, opponents) -> Fraction:
+    """P_n from the product form a prod(1-b_i) / (that + sum_j b_j (1-a) prod_{i!=j} (1-b_i)).
+
+    Equal to exact_p_n inside (0, 1), and also defined when one percentage
+    is exactly 1.  The products over i != j are exact prefix times suffix
+    products, so a 256-opponent field costs O(n) Fraction products.
+    """
+    a = Fraction(a)
+    fail = [1 - Fraction(b) for b in opponents]
+    prefix = list(accumulate(fail, operator.mul, initial=Fraction(1)))
+    suffix = list(accumulate(reversed(fail), operator.mul, initial=Fraction(1)))[::-1]
+    num = a * prefix[-1]
+    others = sum((1 - f) * prefix[j] * suffix[j + 1] for j, f in enumerate(fail))
+    return num / (num + (1 - a) * others)

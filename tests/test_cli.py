@@ -9,6 +9,7 @@ import pytest
 from multijames import __version__, cli
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 CHAIN_EDGES = {
     "root": "A",
@@ -180,6 +181,16 @@ class TestSimulate:
         assert sum(wins) == payload["trials_completed"]
         assert wins[0] / payload["trials_completed"] == payload["estimate"]
 
+    def test_wilson_interval_when_protagonist_never_wins(self, capsys):
+        argv = ("--seed", "1", "simulate", "-a", "0.01", "-b", "0.99", "-n", "1000")
+        code, payload, _ = run_json(capsys, *argv)
+        assert code == 0
+        assert payload["estimate"] == payload["standard_error"] == 0.0
+        low, high = payload["wilson_95"]
+        assert low == 0.0
+        assert high == pytest.approx(3.8e-3, rel=0.01)
+        assert high > payload["closed_form"] == pytest.approx(1.02e-4, rel=0.01)
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -310,6 +321,14 @@ class TestIngest:
         code, _, err = run(capsys, "ingest", path)
         assert code == 4
         assert ":3:" in err
+
+    def test_half_output_is_pinned(self, capsys):
+        # Ties and a pair that meets in three events.  The expected bytes
+        # were written by the game-by-game standings implementation.
+        events = str(GOLDEN / "ingest_half.csv")
+        code = cli.main(["--output", "json", "ingest", events, "--ties", "half"])
+        assert code == 0
+        assert capsys.readouterr().out == (GOLDEN / "ingest_half.json").read_text(encoding="utf-8")
 
     def test_ties_rejected_by_default(self, capsys, tmp_path):
         path = self.write_csv(tmp_path, ["e,a,1", "e,b,1", "e,c,3"])

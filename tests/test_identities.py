@@ -21,7 +21,7 @@ from multijames.identities import (
     validate_partition,
 )
 
-from _oracles import exact_p_n
+from _oracles import exact_p_n, exact_product_form
 
 interior = st.floats(0.01, 0.99)
 opponent_lists = st.lists(interior, min_size=1, max_size=6)
@@ -46,6 +46,33 @@ class TestProductForm:
     def test_undefined(self):
         with pytest.raises(UndefinedContestError):
             p_n_product_form(Contest(0.0, (0.0,)))
+
+    def test_heavy_field_does_not_underflow(self):
+        # Every product of 200 factors of 0.001 underflows a float.
+        a, bs = 0.5, (0.999,) * 200
+        exact = exact_p_n(Fraction(a), bs)
+        assert exact_product_form(a, bs) == exact
+        assert p_n_product_form(Contest(a, bs)) == pytest.approx(float(exact), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "a, bs",
+        [
+            (0.5, (0.999,) * 255 + (1.0,)),
+            (1.0, (0.999,) * 256),
+            (0.0, (0.999,) * 255 + (1.0,)),
+        ],
+        ids=["opponent-at-one", "protagonist-at-one", "zero-against-one"],
+    )
+    def test_boundary_percentage_in_heavy_field(self, a, bs):
+        assert p_n_product_form(Contest(a, bs)) == float(exact_product_form(a, bs))
+
+    def test_large_random_field(self):
+        rng = random.Random(256)
+        for _ in range(5):
+            a = rng.random()
+            bs = tuple(rng.random() for _ in range(256))
+            expected = float(exact_product_form(a, bs))
+            assert p_n_product_form(Contest(a, bs)) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 class TestSumFormula:

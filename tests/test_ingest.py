@@ -1,11 +1,13 @@
 import math
 import random
+from collections import defaultdict
 
 import pytest
 
 from multijames.ingest import (
     EventRecord,
     MalformedRanksError,
+    Standings,
     TiedRanksError,
     TiesPolicy,
     UnbalancedScheduleWarning,
@@ -16,6 +18,39 @@ from multijames.ingest import (
 
 def event(event_id, *placements):
     return EventRecord(event_id, tuple(placements))
+
+
+def summed_pairs(events, ties):
+    """Standings summed game by game over expand_event, the reference."""
+    wins, losses = defaultdict(float), defaultdict(float)
+    pairwise = {}
+    for e in events:
+        for r in expand_event(e, ties):
+            (u, u_score), (v, v_score) = sorted(((r.u, r.u_score), (r.v, r.v_score)))
+            wins[u] += u_score
+            losses[u] += v_score
+            wins[v] += v_score
+            losses[v] += u_score
+            u_total, v_total = pairwise.get((u, v), (0.0, 0.0))
+            pairwise[(u, v)] = (u_total + u_score, v_total + v_score)
+    return Standings(dict(wins), dict(losses), pairwise, ties)
+
+
+def random_season(rng, ties, n_events=40, pool=12):
+    """Overlapping fields drawn from a small pool, so pairs meet in many events."""
+    names = [f"n{i:02d}" for i in range(pool)]
+    events = []
+    for e in range(n_events):
+        field = rng.sample(names, rng.randint(2, pool))
+        ranks = []
+        for i in range(len(field)):
+            # Under HALF, ties follow competition ranking.
+            tie = ties is TiesPolicy.HALF and i > 0 and rng.random() < 0.4
+            ranks.append(ranks[-1] if tie else i + 1)
+        placements = list(zip(field, ranks))
+        rng.shuffle(placements)
+        events.append(EventRecord(f"e{e}", tuple(placements)))
+    return events
 
 
 class TestEventRecord:
@@ -30,6 +65,16 @@ class TestEventRecord:
     def test_rejects_nonpositive_ranks(self):
         with pytest.raises(MalformedRanksError):
             event("e1", ("x", 0), ("y", 1))
+
+    @pytest.mark.parametrize("rank", [1.5, 2.9, "one", "2", None, float("nan"), float("inf")])
+    def test_rejects_non_integral_ranks(self, rank):
+        with pytest.raises(MalformedRanksError, match="'heat'"):
+            event("heat", ("a", 1), ("b", rank))
+
+    def test_integral_floats_become_ints(self):
+        e = event("e1", ("a", 1.0), ("b", 2))
+        assert e.placements == (("a", 1), ("b", 2))
+        assert all(type(rank) is int for _, rank in e.placements)
 
 
 class TestExpandEvent:
@@ -70,6 +115,36 @@ class TestExpandEvent:
         # (1, 1, 2) skips nobody for the tie, so it is malformed.
         with pytest.raises(MalformedRanksError):
             expand_event(event("e", ("a", 1), ("b", 1), ("c", 2)), TiesPolicy.HALF)
+
+
+class TestValidateRanks:
+    @pytest.mark.parametrize(
+        "ties, ranks, error, message",
+        [
+            # Under REJECT a tie is reported before any other defect.
+            (TiesPolicy.REJECT, (1, 1, 3), TiedRanksError, r"tied ranks \[1, 1, 3\]"),
+            (TiesPolicy.REJECT, (1, 3), MalformedRanksError, r"not a permutation of 1\.\.2"),
+            (TiesPolicy.REJECT, (1, 1, 2), TiedRanksError, r"tied ranks \[1, 1, 2\]"),
+            (TiesPolicy.HALF, (1, 1, 2), MalformedRanksError, "break competition ranking"),
+            (TiesPolicy.HALF, (2, 2), MalformedRanksError, "break competition ranking"),
+        ],
+    )
+    def test_invalid(self, ties, ranks, error, message):
+        e = event("heat", *((f"c{i}", rank) for i, rank in enumerate(ranks)))
+        with pytest.raises(error, match=message):
+            build_standings([e], ties)
+        with pytest.raises(error, match=message):
+            expand_event(e, ties)
+
+    def test_all_tied_is_valid_under_half(self):
+        e = event("heat", ("a", 1), ("b", 1), ("c", 1))
+        standings = build_standings([e], TiesPolicy.HALF)
+        assert standings.wins == standings.losses == {"a": 1.0, "b": 1.0, "c": 1.0}
+        assert standings.pairwise == {
+            ("a", "b"): (0.5, 0.5),
+            ("a", "c"): (0.5, 0.5),
+            ("b", "c"): (0.5, 0.5),
+        }
 
 
 class TestBuildStandings:
@@ -134,6 +209,17 @@ class TestBuildStandings:
         events = [event("good", ("a", 1), ("b", 2)), event("bad", ("a", 1), ("b", 1))]
         with pytest.raises(TiedRanksError, match="bad"):
             build_standings(events)
+
+    @pytest.mark.parametrize("ties", list(TiesPolicy))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_summed_pairs(self, ties, seed):
+        events = random_season(random.Random(seed), ties)
+        got = build_standings(events, ties)
+        want = summed_pairs(events, ties)
+        assert got.wins == want.wins
+        assert got.losses == want.losses
+        assert got.pairwise == want.pairwise
+        assert got.as_dict() == want.as_dict()
 
     def test_pairwise_cells(self):
         events = [

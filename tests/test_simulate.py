@@ -194,3 +194,24 @@ class TestEstimate:
     def test_result_trials_property(self):
         r = SimResult(0.5, 0.01, 90, 10, {0: 45, 1: 45})
         assert r.trials == 100
+
+
+class TestWilson:
+    @pytest.mark.parametrize("p, n", [(0.156, 1000), (0.5, 30), (0.02, 50), (0.97, 400)])
+    def test_matches_textbook_form(self, p, n):
+        z = 1.959963984540054
+        center = (p + z * z / (2 * n)) / (1 + z * z / n)
+        half = z * np.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / (1 + z * z / n)
+        low, high = SimResult(p, 0.0, n, 0).wilson_95
+        assert low == pytest.approx(center - half, rel=1e-12)
+        assert high == pytest.approx(center + half, rel=1e-12)
+        assert low < p < high
+
+    def test_no_wins_and_all_wins(self):
+        assert SimResult(0.0, 0.0, 1000, 0).wilson_95 == (0.0, pytest.approx(3.8268e-3, rel=1e-4))
+        assert SimResult(1.0, 0.0, 1000, 0).wilson_95 == (pytest.approx(1 - 3.8268e-3, rel=1e-6), 1.0)
+
+    def test_covers_closed_form(self):
+        contest = Contest(0.5, (0.8, 0.5))
+        low, high = estimate_p_n(contest, SimConfig(trials=20_000, seed=4)).wilson_95
+        assert low < p_n(contest) < high
