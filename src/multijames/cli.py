@@ -1,8 +1,9 @@
 """Command-line interface tying the evaluators, simulator, and verifier together.
 
 Exit codes: 0 ok, 1 failed verification checks, 2 undefined contest (or
-other invalid percentages, or too few simulated trials requested or
-resolved), 3 competition-graph error, 4 input parse error.
+other invalid percentages, too few simulated trials requested or resolved,
+or an invalid verify sample spec), 3 competition-graph error, 4 input
+parse error.
 """
 
 from __future__ import annotations
@@ -287,13 +288,7 @@ def cmd_verify(args) -> int:
     )
     reports = run_all_checks(family, spec)
     if args.output == "json":
-        print(
-            json.dumps(
-                {"family": family.name, "checks": [r.as_dict() for r in reports]},
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        _emit({"family": family.name, "checks": [r.as_dict() for r in reports]}, "json")
     else:
         print(f"family: {family.name}")
         for r in reports:

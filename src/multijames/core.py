@@ -57,8 +57,9 @@ class Contest:
     opponents: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        # + 0.0 stores -0.0 as 0.0, so no evaluator returns a probability of -0.0.
         object.__setattr__(
-            self, "protagonist", _check_pct(self.protagonist, "protagonist")
+            self, "protagonist", _check_pct(self.protagonist, "protagonist") + 0.0
         )
         opps = tuple(_check_pct(b, "opponent") for b in self.opponents)
         if not opps:
@@ -120,30 +121,25 @@ def p_n(c: Contest) -> float:
 
     Evaluated as a / (a + (1 - a) * sum of opponent strengths), which never
     forms the protagonist's strength, so it does not overflow as a approaches 1.
+    That one expression also gives 1.0 for a = 1 or an all-zero field and 0.0
+    for a = 0.
     """
     cls = classify_contest(c)
     if cls is ContestClass.UNDEFINED:
         raise UndefinedContestError(
             "all percentages are 0 or at least two are 1; probability undefined"
         )
-    if cls is ContestClass.FORCED_WIN:
-        return 1.0
     if cls is ContestClass.FORCED_LOSS:
-        return 0.0
+        return 0.0  # some b_i = 1, whose strength would divide by zero
     a = c.protagonist
-    if a == 0.0:
-        return 0.0
-    # Zero-strength opponents contribute nothing; dropping them up front makes
-    # that reduction hold bit for bit.
+    # Zero opponents add nothing to the sum; they are dropped only so that a
+    # contest with one nonzero opponent reduces to james_p bit for bit.
     live = [b for b in c.opponents if b != 0.0]
-    if not live:
-        return 1.0
     if len(live) == 1:
         return james_p(a, live[0])
-    # q(a) / (q(a) + sum q(b_i)) multiplied through by 1 - a.  Each q(b_i) is
-    # bounded so long as b_i < 1, and fsum gives a correctly rounded total, so
-    # the result is permutation invariant.  Nothing divides by a, so a
-    # subnormal protagonist needs no special case.
+    # Each q(b_i) is bounded so long as b_i < 1, and fsum gives a correctly
+    # rounded total, so the result is permutation invariant.  Nothing divides
+    # by a, so a subnormal protagonist needs no special case.
     total = math.fsum([b / (1.0 - b) for b in live])
     return a / (a + (1.0 - a) * total)
 

@@ -26,13 +26,11 @@ from typing import Iterable
 __all__ = [
     "EventRecord",
     "MalformedRanksError",
-    "PairResult",
     "Standings",
     "TiedRanksError",
     "TiesPolicy",
     "UnbalancedScheduleWarning",
     "build_standings",
-    "expand_event",
 ]
 
 
@@ -86,16 +84,6 @@ class EventRecord:
         object.__setattr__(self, "placements", placements)
 
 
-@dataclass(frozen=True)
-class PairResult:
-    """One head-to-head outcome: scores sum to 1 (0.5 each for a tie)."""
-
-    u: str
-    v: str
-    u_score: float
-    v_score: float
-
-
 # (u's score, v's score) for one game, shared by every pair with that outcome.
 _U_WINS = (1.0, 0.0)
 _V_WINS = (0.0, 1.0)
@@ -138,15 +126,6 @@ def _validate_ranks(e: EventRecord, ties: TiesPolicy) -> list[int]:
             f"event {e.event_id!r}: ranks {ranks} break competition ranking"
         )
     return ranks
-
-
-def expand_event(e: EventRecord, ties: TiesPolicy = TiesPolicy.REJECT) -> list[PairResult]:
-    """All-pairs results for one event, one entry per unordered pair."""
-    _validate_ranks(e, ties)
-    return [
-        PairResult(u, v, *_score(rank_u, rank_v))
-        for (u, rank_u), (v, rank_v) in combinations(e.placements, 2)
-    ]
 
 
 @dataclass

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 __all__ = [
     "AnchorBoundaryError",
@@ -20,10 +20,8 @@ __all__ = [
     "ExtraEdgesError",
     "GraphError",
     "PairwiseEdge",
-    "RootedTree",
     "p_n_from_tree",
     "propagate_percentages",
-    "validate_tree",
 ]
 
 class GraphError(ValueError):
@@ -73,35 +71,19 @@ class PairwiseEdge:
 
 @dataclass(frozen=True)
 class CompetitionGraph:
+    """The known match-ups; ``vertices`` is the root plus every edge endpoint."""
+
     root: str
     edges: tuple[PairwiseEdge, ...]
-    vertices: frozenset[str] = field(default_factory=frozenset)
+    vertices: frozenset[str] = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "edges", tuple(self.edges))
-        if not self.vertices:
-            inferred = {self.root}
-            for e in self.edges:
-                inferred.add(e.u)
-                inferred.add(e.v)
-            object.__setattr__(self, "vertices", frozenset(inferred))
-        else:
-            object.__setattr__(self, "vertices", frozenset(self.vertices))
-            if self.root not in self.vertices:
-                raise GraphError(f"root {self.root!r} not among vertices")
-            for e in self.edges:
-                if e.u not in self.vertices or e.v not in self.vertices:
-                    raise GraphError(f"edge {e.u!r}-{e.v!r} has an unknown endpoint")
-
-
-@dataclass(frozen=True)
-class RootedTree:
-    """Parent-pointer form of a validated tree, rooted at the protagonist."""
-
-    root: str
-    parent: Mapping[str, str]
-    p_parent_beats_child: Mapping[str, float]  # keyed by child
-    order: tuple[str, ...]  # breadth-first from the root, names sorted per level
+        vertices = {self.root}
+        for e in self.edges:
+            vertices.add(e.u)
+            vertices.add(e.v)
+        object.__setattr__(self, "vertices", frozenset(vertices))
 
 
 def _logit(p: float) -> float:
@@ -148,15 +130,6 @@ def _walk(
     return adj, parent
 
 
-def validate_tree(g: CompetitionGraph) -> RootedTree:
-    """Check that the known match-ups form a tree spanning all competitors."""
-    adj, parent = _walk(g, g.root)
-    p_parent_beats_child = {
-        child: _sigmoid(adj[par][child]) for child, par in parent.items()
-    }
-    return RootedTree(g.root, parent, p_parent_beats_child, (g.root, *parent))
-
-
 def p_n_from_tree(g: CompetitionGraph) -> float:
     """Path Formula: win probability of the root from the tree's edge probabilities.
 
@@ -184,6 +157,10 @@ def propagate_percentages(
     by the involutive property, i.e. logit(t) = logit(s) - logit(c).  Result
     is independent of traversal order on a tree; breadth-first with sorted
     names keeps it reproducible.
+
+    The logits stay finite, but the final sigmoid correctly rounds a logit
+    above about 36.7 to exactly 1.0 (and one below about -745 to 0.0).  Two
+    competitors returned as 1.0 make a later ``p_n`` over them undefined.
     """
     if anchor not in g.vertices:
         raise GraphError(f"anchor {anchor!r} not among vertices")

@@ -284,6 +284,16 @@ class SampleSpec:
     low: float = 0.05
     high: float = 0.95
 
+    def __post_init__(self) -> None:
+        if self.points < 1:
+            raise ValueError(f"samples per opponent count must be at least 1, got {self.points}")
+        if not self.n_values or min(self.n_values) < 1:
+            raise ValueError(
+                f"opponent counts must be a nonempty list of n >= 1, got {list(self.n_values)}"
+            )
+        if not 0.0 <= self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be finite and >= 0, got {self.tolerance!r}")
+
 
 @dataclass(frozen=True)
 class CheckReport:

@@ -1,7 +1,9 @@
 """Exact rational oracles used to freeze expected values.
 
 Everything here works in Fraction arithmetic straight from the defining
-formulas, independent of the floating-point code paths under test.
+formulas, independent of the floating-point code paths under test.  Every
+argument, float or Fraction, is converted with Fraction() first, so a float
+input is taken at its exact binary value and never rounds the result.
 """
 
 import operator
@@ -9,18 +11,20 @@ from fractions import Fraction
 from itertools import accumulate
 
 
-def exact_strength(s: Fraction) -> Fraction:
+def exact_strength(s) -> Fraction:
+    s = Fraction(s)
     return s / (1 - s)
 
 
-def exact_james(a: Fraction, b: Fraction) -> Fraction:
+def exact_james(a, b) -> Fraction:
+    a, b = Fraction(a), Fraction(b)
     num = a * (1 - b)
     return num / (num + b * (1 - a))
 
 
-def exact_p_n(a: Fraction, opponents) -> Fraction:
+def exact_p_n(a, opponents) -> Fraction:
     qa = exact_strength(a)
-    return qa / (qa + sum(exact_strength(Fraction(b)) for b in opponents))
+    return qa / (qa + sum(exact_strength(b) for b in opponents))
 
 
 def exact_product_form(a, opponents) -> Fraction:

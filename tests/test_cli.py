@@ -383,6 +383,51 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize(
+        "family",
+        [
+            "builtin",
+            "counterexample:mismatched-base",
+            "counterexample:naive-product",
+            "counterexample:squared-odds",
+        ],
+    )
+    def test_json_output_is_pinned(self, capsys, family):
+        # The expected bytes were written when this subcommand still built
+        # its JSON report itself instead of going through _emit.
+        argv = ["--output", "json", "--seed", "5", "verify", "--family", family,
+                "--samples", "100", "--n-max", "3"]
+        code = cli.main(argv)
+        assert code == (0 if family == "builtin" else 1)
+        golden = GOLDEN / f"verify_{family.rpartition(':')[2]}.json"
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--samples", "0"),
+            ("verify", "--n-min", "3", "--n-max", "1"),
+            ("verify", "--n-min", "0"),
+            ("--tol", "nan", "verify"),
+            ("--tol", "-1", "verify"),
+            ("verify", "--family", "grid:{grid}", "--n-min", "3"),
+        ],
+        ids=["no-samples", "empty-n-range", "zero-opponents", "nan-tol", "negative-tol",
+             "grid-without-requested-n"],
+    )
+    def test_bad_sample_spec_exits_before_any_check(self, capsys, tmp_path, argv):
+        from multijames.verify import GridFamily
+
+        grid = GridFamily.tabulate_canonical(resolution=5, n_max=2)
+        path = write_json(tmp_path, "grid.json", grid.to_dict())
+        for output in ("table", "json"):
+            code, out, err = run(
+                capsys, "--output", output, *(arg.format(grid=path) for arg in argv)
+            )
+            assert code == 2
+            assert err.startswith("error:")
+            assert out == ""
+
     def test_unknown_family(self, capsys):
         code, _, err = run(capsys, "verify", "--family", "mystery")
         assert code == 4

@@ -111,6 +111,12 @@ class TestPn:
         assert expected == Fraction(1, 6)
         assert p_n(Contest(0.5, (0.8, 0.5))) == pytest.approx(float(expected), abs=1e-15)
 
+    def test_oracle_is_exact_for_float_inputs(self):
+        # 200 opponents at 0.999 need far more precision than a float holds.
+        assert isinstance(exact_p_n(0.5, (0.999,) * 200), Fraction)
+        assert isinstance(exact_james(0.6, 0.4), Fraction)
+        assert exact_p_n(0.5, (0.8, 0.5)) == exact_p_n(Fraction(1, 2), (0.8, Fraction(1, 2)))
+
     def test_zero_opponent_reduces_exactly(self):
         assert p_n(Contest(0.7, (0.4, 0.0))) == james_p(0.7, 0.4)
 
@@ -119,6 +125,22 @@ class TestPn:
         assert p_n(Contest(0.5, (0.3, 1.0))) == 0.0
         with pytest.raises(UndefinedContestError):
             p_n(Contest(0.0, (0.0, 0.0)))
+
+    @pytest.mark.parametrize(
+        "a, opponents, expected",
+        [
+            (1.0, (0.3, 0.4), 1.0),
+            (1.0, (0.0, 0.0), 1.0),
+            (0.0, (0.3, 0.4), 0.0),
+            (-0.0, (0.3, 0.4), 0.0),
+            (5e-324, (0.0, 0.0), 1.0),
+            (0.7, (0.0, 0.0, 0.0), 1.0),
+        ],
+    )
+    def test_formula_covers_boundaries(self, a, opponents, expected):
+        # No branch handles a forced win, a zero protagonist or an all-zero
+        # field: the formula itself yields these values, sign bit included.
+        assert p_n(Contest(a, opponents)).hex() == expected.hex()
 
     def test_subnormal_protagonist(self):
         # Nothing divides by a or by an underflowed a * (1 - b).  Against two

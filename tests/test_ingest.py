@@ -1,6 +1,7 @@
 import math
 import random
 from collections import defaultdict
+from itertools import combinations
 
 import pytest
 
@@ -12,7 +13,6 @@ from multijames.ingest import (
     TiesPolicy,
     UnbalancedScheduleWarning,
     build_standings,
-    expand_event,
 )
 
 
@@ -20,13 +20,24 @@ def event(event_id, *placements):
     return EventRecord(event_id, tuple(placements))
 
 
+def games(e):
+    """Every game of one valid event as (u, v, u_score, v_score), the reference.
+
+    The better (lower) rank wins the game and equal ranks split it.
+    """
+    for (u, rank_u), (v, rank_v) in combinations(e.placements, 2):
+        u_score = 1.0 if rank_u < rank_v else 0.5 if rank_u == rank_v else 0.0
+        yield u, v, u_score, 1.0 - u_score
+
+
 def summed_pairs(events, ties):
-    """Standings summed game by game over expand_event, the reference."""
+    """Standings summed game by game over every event."""
     wins, losses = defaultdict(float), defaultdict(float)
     pairwise = {}
     for e in events:
-        for r in expand_event(e, ties):
-            (u, u_score), (v, v_score) = sorted(((r.u, r.u_score), (r.v, r.v_score)))
+        for u, v, u_score, v_score in games(e):
+            if v < u:
+                u, v, u_score, v_score = v, u, v_score, u_score
             wins[u] += u_score
             losses[u] += v_score
             wins[v] += v_score
@@ -78,43 +89,47 @@ class TestEventRecord:
 
 
 class TestExpandEvent:
+    """One event counts as all of its C(k, 2) head-to-head games."""
+
     def test_third_of_ten(self):
         e = event("race", *((f"c{r}", r) for r in range(1, 11)))
-        results = expand_event(e)
-        assert len(results) == math.comb(10, 2)
-        focal_wins = sum(
-            r.u_score if r.u == "c3" else r.v_score
-            for r in results
-            if "c3" in (r.u, r.v)
-        )
-        focal_games = sum(1 for r in results if "c3" in (r.u, r.v))
-        assert focal_wins == 7
-        assert focal_games - focal_wins == 2
+        standings = build_standings([e])
+        assert len(standings.pairwise) == math.comb(10, 2)
+        assert standings.wins["c3"] == 7
+        assert standings.losses["c3"] == 2
+        assert standings.pairwise[("c1", "c3")] == (1.0, 0.0)
+        assert standings.pairwise[("c3", "c4")] == (1.0, 0.0)
 
     def test_two_competitors_single_pair(self):
-        results = expand_event(event("e", ("a", 1), ("b", 2)))
-        assert len(results) == 1
-        assert (results[0].u_score, results[0].v_score) == (1.0, 0.0)
+        standings = build_standings([event("e", ("a", 1), ("b", 2))])
+        assert standings.pairwise == {("a", "b"): (1.0, 0.0)}
+        assert standings.wins == {"a": 1.0, "b": 0.0}
+        assert standings.losses == {"a": 0.0, "b": 1.0}
 
     def test_tied_ranks_rejected(self):
         e = event("e", ("a", 1), ("b", 1), ("c", 3))
         with pytest.raises(TiedRanksError):
-            expand_event(e, TiesPolicy.REJECT)
+            build_standings([e], TiesPolicy.REJECT)
 
     def test_tied_ranks_half_policy(self):
         e = event("e", ("a", 1), ("b", 1), ("c", 3))
-        results = expand_event(e, TiesPolicy.HALF)
-        tied = next(r for r in results if {r.u, r.v} == {"a", "b"})
-        assert (tied.u_score, tied.v_score) == (0.5, 0.5)
+        standings = build_standings([e], TiesPolicy.HALF)
+        assert standings.pairwise == {
+            ("a", "b"): (0.5, 0.5),
+            ("a", "c"): (1.0, 0.0),
+            ("b", "c"): (1.0, 0.0),
+        }
+        assert standings.wins == {"a": 1.5, "b": 1.5, "c": 0.0}
+        assert standings.losses == {"a": 0.5, "b": 0.5, "c": 2.0}
 
     def test_rank_gaps_rejected(self):
         with pytest.raises(MalformedRanksError):
-            expand_event(event("e", ("a", 1), ("b", 3)))
+            build_standings([event("e", ("a", 1), ("b", 3))])
 
     def test_half_policy_requires_competition_ranking(self):
         # (1, 1, 2) skips nobody for the tie, so it is malformed.
         with pytest.raises(MalformedRanksError):
-            expand_event(event("e", ("a", 1), ("b", 1), ("c", 2)), TiesPolicy.HALF)
+            build_standings([event("e", ("a", 1), ("b", 1), ("c", 2))], TiesPolicy.HALF)
 
 
 class TestValidateRanks:
@@ -133,8 +148,6 @@ class TestValidateRanks:
         e = event("heat", *((f"c{i}", rank) for i, rank in enumerate(ranks)))
         with pytest.raises(error, match=message):
             build_standings([e], ties)
-        with pytest.raises(error, match=message):
-            expand_event(e, ties)
 
     def test_all_tied_is_valid_under_half(self):
         e = event("heat", ("a", 1), ("b", 1), ("c", 1))

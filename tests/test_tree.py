@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from multijames import Contest, james_p, p_n
+from multijames import Contest, UndefinedContestError, james_p, p_n
 from multijames.identities import odds_from_sum, p_n_expanded_sum
 from multijames.tree import (
     AnchorBoundaryError,
@@ -16,7 +16,6 @@ from multijames.tree import (
     SelfLoopError,
     p_n_from_tree,
     propagate_percentages,
-    validate_tree,
 )
 
 FIGURE_EDGES = (
@@ -50,17 +49,24 @@ def chain_graph():
     )
 
 
+def tree_checks(g):
+    """Both tree walks, from the root: each must reject an invalid graph."""
+    return (
+        lambda: p_n_from_tree(g),
+        lambda: propagate_percentages(g, g.root, 0.5),
+    )
+
+
 class TestValidation:
     def test_valid_chain(self):
-        tree = validate_tree(chain_graph())
-        assert tree.parent == {"B1": "A", "B2": "B1"}
-        assert tree.order == ("A", "B1", "B2")
+        # The walk is breadth-first from the anchor, neighbors in name order.
+        assert list(propagate_percentages(chain_graph(), "A", 0.5)) == ["A", "B1", "B2"]
+        assert chain_graph().vertices == {"A", "B1", "B2"}
 
     def test_nine_vertex_example_topology(self):
-        tree = validate_tree(figure_graph())
-        assert len(tree.order) == 9
-        assert tree.parent["B5"] == "B4"
-        assert tree.parent["B4"] == "B2"
+        result = propagate_percentages(figure_graph(), "A", 0.5)
+        assert list(result) == ["A", "B1", "B2", "B7", "B3", "B4", "B8", "B5", "B6"]
+        assert len(figure_graph().vertices) == 9
 
     def test_cycle_raises_extra_edges(self):
         g = CompetitionGraph(
@@ -71,17 +77,19 @@ class TestValidation:
                 PairwiseEdge("B1", "B2", 0.5),
             ),
         )
-        with pytest.raises(ExtraEdgesError):
-            validate_tree(g)
+        for check in tree_checks(g):
+            with pytest.raises(ExtraEdgesError):
+                check()
 
     def test_disconnected_lists_unreachable(self):
         g = CompetitionGraph(
             "A",
             (PairwiseEdge("A", "B1", 0.5), PairwiseEdge("B2", "B3", 0.5)),
         )
-        with pytest.raises(DisconnectedError) as excinfo:
-            validate_tree(g)
-        assert excinfo.value.unreachable == ["B2", "B3"]
+        for check in tree_checks(g):
+            with pytest.raises(DisconnectedError) as excinfo:
+                check()
+            assert excinfo.value.unreachable == ["B2", "B3"]
 
     def test_duplicate_edge(self):
         g = CompetitionGraph(
@@ -93,8 +101,9 @@ class TestValidation:
                 PairwiseEdge("B2", "B3", 0.5),
             ),
         )
-        with pytest.raises(DuplicateEdgeError):
-            validate_tree(g)
+        for check in tree_checks(g):
+            with pytest.raises(DuplicateEdgeError):
+                check()
 
     def test_self_loop_rejected_at_construction(self):
         with pytest.raises(SelfLoopError):
@@ -107,7 +116,14 @@ class TestValidation:
             PairwiseEdge("A", "B", 1.0)
 
     def test_unknown_root(self):
-        with pytest.raises(GraphError):
+        # The vertices are always the root plus the endpoints, so a root on no
+        # edge is a vertex of its own that reaches nothing.
+        g = CompetitionGraph("Z", (PairwiseEdge("A", "B", 0.5),))
+        assert g.vertices == {"Z", "A", "B"}
+        with pytest.raises(DisconnectedError) as excinfo:
+            p_n_from_tree(g)
+        assert excinfo.value.unreachable == ["A", "B"]
+        with pytest.raises(TypeError):
             CompetitionGraph("Z", (PairwiseEdge("A", "B", 0.5),), frozenset({"A", "B"}))
 
 
@@ -204,6 +220,15 @@ class TestPropagation:
     def test_unknown_anchor(self):
         with pytest.raises(GraphError):
             propagate_percentages(chain_graph(), "Q", 0.5)
+
+    def test_lopsided_chain_rounds_to_one(self):
+        # Every logit stays finite, but from c1 on they exceed 460, and the
+        # sigmoid correctly rounds each to 1.0.
+        result = propagate_percentages(lopsided_chain("c0"), "c0", 0.5)
+        assert result["c1"] == 1.0
+        assert result["c63"] == 1.0
+        with pytest.raises(UndefinedContestError):
+            p_n(Contest(result["c1"], (result["c63"],)))
 
     def test_anchor_outside_root_component(self):
         g = CompetitionGraph(
