@@ -1,9 +1,9 @@
 """Command-line interface tying the evaluators, simulator, and verifier together.
 
 Exit codes: 0 ok, 1 failed verification checks, 2 undefined contest (or
-other invalid percentages, too few simulated trials requested or resolved,
-or an invalid verify sample spec), 3 competition-graph error, 4 input
-parse error.
+other invalid percentages, an invalid simulate config, too few simulated
+trials resolved, or an invalid verify sample spec), 3 competition-graph
+error, 4 input parse error.
 """
 
 from __future__ import annotations
@@ -32,9 +32,6 @@ from .ingest import (
     build_standings,
 )
 from .tree import CompetitionGraph, GraphError, PairwiseEdge, p_n_from_tree, propagate_percentages
-
-# simulate (numpy) and verify are imported inside their subcommands, so the
-# other subcommands start with standard-library imports only.
 
 EXIT_OK = 0
 EXIT_CHECKS_FAILED = 1

@@ -37,9 +37,10 @@ class UndefinedContestError(ValueError):
 
 def _check_pct(value: float, name: str = "winning percentage") -> float:
     v = float(value)
-    if math.isnan(v) or v < 0.0 or v > 1.0:
+    if not 0.0 <= v <= 1.0:  # nan fails both comparisons
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-    return v
+    # + 0.0 turns -0.0 into 0.0, so no evaluator returns a probability of -0.0.
+    return v + 0.0
 
 
 class ContestClass(Enum):
@@ -57,10 +58,7 @@ class Contest:
     opponents: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        # + 0.0 stores -0.0 as 0.0, so no evaluator returns a probability of -0.0.
-        object.__setattr__(
-            self, "protagonist", _check_pct(self.protagonist, "protagonist") + 0.0
-        )
+        object.__setattr__(self, "protagonist", _check_pct(self.protagonist, "protagonist"))
         opps = tuple(_check_pct(b, "opponent") for b in self.opponents)
         if not opps:
             raise ValueError("a contest needs at least one opponent")
@@ -81,7 +79,7 @@ def strength(s: float) -> float:
 
 def strength_inv(q: float) -> float:
     """Inverse of :func:`strength`: maps [0, inf] back to [0, 1]."""
-    q = float(q)
+    q = float(q) + 0.0
     if math.isnan(q) or q < 0.0:
         raise ValueError(f"strength must be nonnegative, got {q!r}")
     if math.isinf(q):

@@ -11,23 +11,26 @@ w_i = s_i * prod_{j != i} (1 - s_j), so a round is decisive with
 probability P1 = sum_i w_i.  Rounds are independent, so a trial is decided
 after a Geometric(P1) number of rounds, and the winner of the deciding
 round is i with probability w_i / P1 however many rounds it took.  A trial
-is therefore abandoned with probability (1 - P1)^R, and a batch of trials
-takes two draws: a Binomial count of abandoned trials, then Multinomial
-winner counts over the rest.  Only the per-round Bernoulli model enters,
-never the closed form, so the estimate can validate the closed-form
-evaluators.
+is therefore abandoned with probability (1 - P1)^R, and one run over all
+its trials takes a Binomial count of abandoned trials, then Multinomial
+winner counts over the rest, drawn as one conditional Binomial per
+competitor.  Each Binomial comes from an exact standard-library sampler.
+Only the per-round Bernoulli model enters, never the closed form, so the
+estimate can validate the closed-form evaluators.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import random
 from dataclasses import dataclass, field
-
-import numpy as np
+from itertools import accumulate
 
 from .core import Contest, ContestClass, UndefinedContestError, classify_contest
 
 __all__ = [
+    "MAX_TRIALS",
     "MIN_RESOLVED_TRIALS",
     "AllTrialsAbandonedError",
     "SimConfig",
@@ -37,8 +40,12 @@ __all__ = [
 
 # Below this many resolved trials the plug-in standard error means nothing.
 MIN_RESOLVED_TRIALS = 30
+# Up to 2^52 every count the Binomial sampler turns into a float, such as
+# n - k + 1, is exact.
+MAX_TRIALS = 2**52
 # The standard normal quantile for a two-sided 95% interval.
 _Z95 = 1.959963984540054
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 class AllTrialsAbandonedError(RuntimeError):
@@ -50,18 +57,15 @@ class SimConfig:
     trials: int
     max_rounds_per_trial: int = 10_000
     seed: int = 0
-    # Trials are split into fixed-size batches, each with its own RNG stream
-    # derived from (seed, batch_index), so results do not depend on how the
-    # batches are scheduled across workers.
-    batch_size: int = 1 << 16
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ValueError(f"trials must lie in [1, 2**52], got {self.trials}")
         if self.max_rounds_per_trial < 1:
             raise ValueError("max_rounds_per_trial must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        # random.Random(-s) would silently give the stream of Random(s).
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -100,20 +104,96 @@ class SimResult:
         return lower(p), 1.0 - lower(1.0 - p)
 
 
-def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(batch_index,)))
+def _stirling_tail(k: int) -> float:
+    """fc(k) = log k! - (k + 1/2) log(k + 1) + (k + 1) - log(2 pi) / 2."""
+    if k < 10:
+        return math.lgamma(k + 1) - (k + 0.5) * math.log(k + 1) + (k + 1) - _HALF_LOG_2PI
+    r = 1.0 / (k + 1)
+    r2 = r * r
+    return (1.0 / 12 - (1.0 / 360 - r2 / 1260) * r2) * r
 
 
-def _round_weights(probs: np.ndarray) -> np.ndarray:
+def _log_pmf_ratio(n: int, p: float, m: int, k: int) -> float:
+    """log(f(k) / f(m)) for the Binomial(n, p) pmf f.
+
+    Written as in Hoermann's step 3.2: Stirling tails plus log1p of integer
+    ratios, so the large terms of log m! - log k! never meet and cancel.
+    The lgamma form that 3.12 uses errs by about 4e-3 at n = 2^40 and by
+    tens at n = 2^52.
+    """
+    d = k - m
+    return (
+        (n - k + 0.5) * math.log1p(d / (n - k + 1))
+        - (m + 0.5) * math.log1p(d / (m + 1))
+        + d * math.log((n - m + 1) * p / ((k + 1) * (1.0 - p)))
+        + _stirling_tail(m)
+        + _stirling_tail(n - m)
+        - _stirling_tail(k)
+        - _stirling_tail(n - k)
+    )
+
+
+def _binomial(rng: random.Random, n: int, p: float) -> int:
+    """One exact Binomial(n, p) draw, for 0 <= n <= MAX_TRIALS.
+
+    A port of CPython 3.12's ``random.binomialvariate``: Devroye's geometric
+    method below np = 10, Hoermann's BTRS (transformed rejection with
+    squeeze, 1993) above.  Unlike 3.12 it takes the geometric rate from
+    log1p(-p), not log2(1 - p), which rounds away a p below 1e-16, and its
+    acceptance test uses ``_log_pmf_ratio``.
+    """
+    if n == 0 or p <= 0.0:
+        return 0
+    if p >= 1.0:
+        return n
+    if p > 0.5:
+        return n - _binomial(rng, n, 1.0 - p)
+    if n * p < 10.0:
+        # Successes sit Geometric(p) trials apart; count those within n.
+        c = math.log1p(-p)
+        x = y = 0
+        while True:
+            # floor(gap) >= n - y is the same test as gap >= n - y, and it
+            # never floors the inf that a tiny p can give.
+            gap = math.log(1.0 - rng.random()) / c
+            if gap >= n - y:
+                return x
+            y += int(gap) + 1
+            x += 1
+    spq = math.sqrt(n * p * (1.0 - p))
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    c = n * p + 0.5
+    vr = 0.92 - 4.2 / b
+    alpha = (2.83 + 5.1 / b) * spq
+    m = math.floor((n + 1) * p)  # the mode
+    while True:
+        u = rng.random() - 0.5
+        us = 0.5 - abs(u)
+        if us == 0.0:  # u = -0.5 proposes k = -inf
+            continue
+        k = math.floor((2.0 * a / us + b) * u + c)
+        if k < 0 or k > n:
+            continue
+        v = rng.random()
+        if us >= 0.07 and v <= vr:
+            return k
+        # The paper omits the log of v here; 3.12 restores it.
+        v *= alpha / (a / (us * us) + b)
+        if v == 0.0 or math.log(v) <= _log_pmf_ratio(n, p, m, k):
+            return k
+
+
+def _round_weights(probs: list[float]) -> list[float]:
     """w_i = s_i * prod_{j != i} (1 - s_j), the chance that i alone succeeds.
 
     Built from prefix and suffix products of the failure chances with no
     division, so a competitor with s_j = 1 needs no special case.
     """
-    fail = 1.0 - probs
-    prefix = np.concatenate(([1.0], np.cumprod(fail[:-1])))
-    suffix = np.concatenate((np.cumprod(fail[:0:-1])[::-1], [1.0]))
-    return probs * prefix * suffix
+    fail = [1.0 - s for s in probs]
+    prefix = accumulate(fail[:-1], operator.mul, initial=1.0)
+    suffix = list(accumulate(reversed(fail[1:]), operator.mul, initial=1.0))[::-1]
+    return [s * before * after for s, before, after in zip(probs, prefix, suffix)]
 
 
 def estimate_p_n(c: Contest, cfg: SimConfig) -> SimResult:
@@ -130,7 +210,7 @@ def estimate_p_n(c: Contest, cfg: SimConfig) -> SimResult:
         raise UndefinedContestError("cannot simulate an undefined contest")
     if cfg.trials < MIN_RESOLVED_TRIALS:
         raise ValueError(f"simulate needs at least {MIN_RESOLVED_TRIALS} trials, got {cfg.trials}")
-    weights = _round_weights(np.asarray([c.protagonist, *c.opponents], dtype=float))
+    weights = _round_weights([c.protagonist, *c.opponents])
     p_decisive = math.fsum(weights)
     # (1 - P1)^R; P1 may round to 1, where log1p(-1) would raise.
     p_unresolved = (
@@ -138,32 +218,31 @@ def estimate_p_n(c: Contest, cfg: SimConfig) -> SimResult:
         if p_decisive >= 1.0
         else math.exp(cfg.max_rounds_per_trial * math.log1p(-p_decisive))
     )
-    wins = np.zeros(weights.size, dtype=np.int64)
-    abandoned = 0
-    remaining = cfg.trials
-    batch_index = 0
-    while remaining > 0:
-        batch = min(cfg.batch_size, remaining)
-        rng = _batch_rng(cfg.seed, batch_index)
-        batch_abandoned = int(rng.binomial(batch, p_unresolved))
-        # When P1 underflows to 0 every trial is abandoned and w / P1 is nan.
-        if batch_abandoned < batch:
-            wins += rng.multinomial(batch - batch_abandoned, weights / p_decisive)
-        abandoned += batch_abandoned
-        remaining -= batch
-        batch_index += 1
+    rng = random.Random(cfg.seed)
+    abandoned = _binomial(rng, cfg.trials, p_unresolved)
     completed = cfg.trials - abandoned
     if completed < MIN_RESOLVED_TRIALS:
         raise AllTrialsAbandonedError(
             f"only {completed} of {cfg.trials} trials resolved within "
             f"{cfg.max_rounds_per_trial} rounds; at least {MIN_RESOLVED_TRIALS} are needed"
         )
+    # The Multinomial(completed, w / P1) as conditional Binomials: i wins
+    # w_i / S_i of what competitors i.. leave, with S_i = sum_{j >= i} w_j
+    # summed from the last one back, a sum of nonnegative terms.
+    tails = list(accumulate(reversed(weights)))[::-1]
+    wins = []
+    left = completed
+    for w, tail in zip(weights, tails):
+        # Once nothing is left, S_i may be 0 and w_i / S_i nan.  Rounding
+        # keeps S_i >= w_i, so the ratio needs no clamp at 1.
+        k = _binomial(rng, left, w / tail) if left else 0
+        wins.append(k)
+        left -= k
     estimate = wins[0] / completed
-    se = float(np.sqrt(estimate * (1.0 - estimate) / completed))
     return SimResult(
-        win_probability_estimate=float(estimate),
-        standard_error=se,
+        win_probability_estimate=estimate,
+        standard_error=math.sqrt(estimate * (1.0 - estimate) / completed),
         trials_completed=completed,
         trials_abandoned=abandoned,
-        per_competitor_wins={i: int(w) for i, w in enumerate(wins)},
+        per_competitor_wins=dict(enumerate(wins)),
     )

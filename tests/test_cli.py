@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -210,6 +211,24 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert err.startswith("error: simulate needs at least 30 trials")
+
+    # --seed is a global option; the others belong to simulate.
+    @pytest.mark.parametrize(
+        "before, after",
+        [
+            ((), ("-n", "100000000000000000000")),
+            (("--seed", "-1"), ()),
+            ((), ("--max-rounds", "0")),
+            ((), ("-n", "0")),
+        ],
+    )
+    def test_bad_config_exits_2_at_once(self, capsys, before, after):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *before, "simulate", "-a", "0.5", "-b", "0.5", *after)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestInferTree:
@@ -450,9 +469,11 @@ class TestVersion:
         assert capsys.readouterr().out.strip() == f"multijames {__version__}"
 
 
-# Every subcommand except simulate must start on standard-library imports.
+# Every subcommand but grid verify must start on standard-library imports.
+# numpy is blocked, so importing it fails instead of only being reported.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
+sys.modules["numpy"] = None
 from multijames import cli
 
 edges, events = sys.argv[1:]
@@ -462,12 +483,13 @@ calls = [
     ["infer-tree", edges],
     ["propagate", edges, "--anchor", "A=0.6"],
     ["ingest", events],
+    ["simulate", "-a", "0.5", "-b", "0.8,0.5", "-n", "1000"],
     ["verify", "--family", "builtin", "--samples", "5", "--n-max", "2"],
 ]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in calls]
 print(json.dumps({"codes": codes, "loaded": sorted(
-    name for name in ("numpy", "scipy") if name in sys.modules)}))
+    name for name in ("numpy", "scipy") if sys.modules.get(name) is not None)}))
 """
 
 
@@ -483,7 +505,7 @@ class TestImportHygiene:
             capture_output=True, text=True, env=env, check=True,
         )
         result = json.loads(proc.stdout)
-        assert result["codes"] == [0] * 6
+        assert result["codes"] == [0] * 7
         assert result["loaded"] == []
 
     def test_source_does_not_mention_scipy(self):

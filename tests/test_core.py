@@ -290,3 +290,18 @@ class TestBalancedOpposition:
     def test_balanced_field_is_fixed_point(self, a):
         assert balanced_opposition((1 / 3, 1 / 3))
         assert p_n(Contest(a, (1 / 3, 1 / 3))) == pytest.approx(a, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: james_p(-0.0, 0.5),
+        lambda: strength(-0.0),
+        lambda: strength_inv(-0.0),
+        lambda: level_transform(-0.0, 2.0),
+        lambda: Contest(-0.0, (-0.0, 0.5)).opponents[0],
+    ],
+    ids=["james_p", "strength", "strength_inv", "level_transform", "contest_opponent"],
+)
+def test_negative_zero_input_gives_positive_zero(call):
+    assert math.copysign(1.0, call()) == 1.0

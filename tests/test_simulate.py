@@ -1,17 +1,26 @@
+import math
+import random
+
 import numpy as np
 import pytest
 
 from multijames import Contest, UndefinedContestError, p_n
 from multijames.simulate import (
+    MAX_TRIALS,
     MIN_RESOLVED_TRIALS,
     AllTrialsAbandonedError,
     SimConfig,
     SimResult,
+    _binomial,
+    _log_pmf_ratio,
     estimate_p_n,
 )
 
 # Upper 1e-3 quantiles of the chi-squared law, by degrees of freedom.
-CHI2_CRIT_1E3 = {1: 10.828, 2: 13.816, 3: 16.266, 4: 18.467, 5: 20.515, 6: 22.458, 7: 24.322}
+CHI2_CRIT_1E3 = {
+    1: 10.828, 2: 13.816, 3: 16.266, 4: 18.467, 5: 20.515, 6: 22.458, 7: 24.322,
+    8: 26.124, 9: 27.877, 10: 29.588,
+}
 
 
 def literal_counts(probs, trials, max_rounds, rng):
@@ -177,12 +186,14 @@ class TestEstimate:
         with pytest.raises(UndefinedContestError):
             estimate_p_n(Contest(0.0, (0.0,)), SimConfig(trials=10))
 
-    def test_batching_does_not_change_totals(self):
-        # Identical seed and batch size give identical merged results even
-        # when trials do not divide evenly into batches.
+    def test_same_seed_ignores_global_random_state(self):
+        # Each run seeds its own generator, so the module-level random
+        # stream between two runs does not change the result.
         c = Contest(0.6, (0.4,))
-        r1 = estimate_p_n(c, SimConfig(trials=70_000, seed=11, batch_size=1 << 14))
-        r2 = estimate_p_n(c, SimConfig(trials=70_000, seed=11, batch_size=1 << 14))
+        r1 = estimate_p_n(c, SimConfig(trials=70_000, seed=11))
+        random.seed(12)
+        random.random()
+        r2 = estimate_p_n(c, SimConfig(trials=70_000, seed=11))
         assert r1 == r2
 
     def test_config_validation(self):
@@ -190,6 +201,16 @@ class TestEstimate:
             SimConfig(trials=0)
         with pytest.raises(ValueError):
             SimConfig(trials=1, max_rounds_per_trial=0)
+        with pytest.raises(ValueError, match="trials must lie in"):
+            SimConfig(trials=MAX_TRIALS + 1)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            SimConfig(trials=1, seed=-1)
+
+    def test_max_trials(self):
+        contest = Contest(0.6, (0.4,))
+        result = estimate_p_n(contest, SimConfig(trials=MAX_TRIALS, seed=8))
+        assert result.trials == MAX_TRIALS
+        assert abs(result.win_probability_estimate - p_n(contest)) < 5 * result.standard_error
 
     def test_result_trials_property(self):
         r = SimResult(0.5, 0.01, 90, 10, {0: 45, 1: 45})
@@ -215,3 +236,83 @@ class TestWilson:
         contest = Contest(0.5, (0.8, 0.5))
         low, high = estimate_p_n(contest, SimConfig(trials=20_000, seed=4)).wilson_95
         assert low < p_n(contest) < high
+
+
+def binomial_pmf(n, p, k):
+    return math.exp(math.log(math.comb(n, k)) + k * math.log(p) + (n - k) * math.log1p(-p))
+
+
+def equiprobable_cells(n, p, mass=0.1):
+    """Cut 0..n into runs of consecutive counts, each of probability >= mass.
+
+    Returns the upper count of every cell but the last, and the cell
+    probabilities; only counts near the mean are enumerated.
+    """
+    mean, sd = n * p, math.sqrt(n * p * (1 - p))
+    lo, hi = max(0, int(mean - 12 * sd - 20)), min(n, int(mean + 12 * sd + 20))
+    uppers, probs, acc = [], [], 0.0
+    for k in range(lo, hi + 1):
+        acc += binomial_pmf(n, p, k)
+        if acc >= mass and 1.0 - sum(probs) - acc >= mass:
+            uppers.append(k)
+            probs.append(acc)
+            acc = 0.0
+    return uppers, [*probs, 1.0 - sum(probs)]
+
+
+class TestBinomialSampler:
+    # One Binomial draw against the exact pmf, in about ten cells of equal
+    # probability.  Seeds and sizes were fixed before the first run.
+    DRAWS = 20_000
+
+    @pytest.mark.parametrize(
+        "n, p, seed",
+        [
+            (20, 0.1, 1),  # np < 10: the geometric method
+            (1000, 0.3, 2),  # BTRS
+            (1000, 0.8, 3),  # p > 1/2 draws n - Binomial(n, 1 - p)
+            # log2(1 - p) would round 1 - p and put the mean 11% high.
+            (2**52, 3e-16, 4),
+        ],
+    )
+    def test_matches_pmf(self, n, p, seed):
+        uppers, probs = equiprobable_cells(n, p)
+        rng = random.Random(seed)
+        counts = [0] * len(probs)
+        for _ in range(self.DRAWS):
+            k = _binomial(rng, n, p)
+            assert 0 <= k <= n
+            counts[sum(k > u for u in uppers)] += 1
+        stat = sum((c - self.DRAWS * q) ** 2 / (self.DRAWS * q) for c, q in zip(counts, probs))
+        dof = len(probs) - 1
+        assert stat < CHI2_CRIT_1E3[dof], (counts, probs)
+
+    def test_moments_at_large_n(self):
+        n, p, draws = 2**40, 0.3, 4000
+        rng = random.Random(5)
+        xs = [_binomial(rng, n, p) for _ in range(draws)]
+        mean = sum(xs) / draws
+        var = sum((x - mean) ** 2 for x in xs) / (draws - 1)
+        sd = math.sqrt(n * p * (1 - p))
+        assert abs(mean - n * p) < 5 * sd / math.sqrt(draws)
+        # The sample variance of normal draws has relative sd sqrt(2 / draws).
+        assert abs(var / sd**2 - 1) < 5 * math.sqrt(2 / draws)
+
+    @pytest.mark.parametrize("p", [0.3, 0.5, 1e-4])
+    @pytest.mark.parametrize("n", [10**6, 2**40, 2**52])
+    def test_log_pmf_ratio_against_mpmath(self, n, p):
+        mpmath = pytest.importorskip("mpmath")
+        m = math.floor((n + 1) * p)
+        sd = math.sqrt(n * p * (1 - p))
+        with mpmath.workdps(50):
+            lpq = mpmath.log(mpmath.mpf(p) / (1 - mpmath.mpf(p)))
+            for j in range(-8, 9):
+                k = m + round(j * sd)
+                exact = (
+                    mpmath.loggamma(m + 1)
+                    + mpmath.loggamma(n - m + 1)
+                    - mpmath.loggamma(k + 1)
+                    - mpmath.loggamma(n - k + 1)
+                    + (k - m) * lpq
+                )
+                assert abs(_log_pmf_ratio(n, p, m, k) - float(exact)) <= 1e-6, (j, k)
