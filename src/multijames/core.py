@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "Contest",
@@ -43,6 +43,24 @@ def _check_pct(value: float, name: str = "winning percentage") -> float:
     return v + 0.0
 
 
+def _check_pcts(values: Iterable[float]) -> tuple[float, ...]:
+    """``_check_pct`` over opponents: three C-level passes when all lie in (0, 1].
+
+    min and max skip a NaN after the first value, but the sum does not.  Anything
+    else (a zero, which may be -0.0, no values, or one that does not convert)
+    takes the per-value loop, which keeps its messages and the caller's repr.
+    """
+    raw = tuple(values)
+    try:
+        vals = tuple(map(float, raw))
+        total = sum(vals)
+        if 0.0 < min(vals) and max(vals) <= 1.0 and total == total:
+            return vals
+    except (ArithmeticError, TypeError, ValueError):
+        pass  # the loop below raises the first value's own error
+    return tuple(_check_pct(v, "opponent") for v in raw)
+
+
 class ContestClass(Enum):
     UNDEFINED = "undefined"
     FORCED_WIN = "forced_win"
@@ -50,19 +68,29 @@ class ContestClass(Enum):
     REGULAR = "regular"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Contest:
-    """One protagonist percentage plus an ordered list of opponent percentages."""
+    """One protagonist percentage plus an ordered list of opponent percentages.
 
+    Validated once, on entry: every value is stored as a float in [0, 1],
+    with -0.0 as 0.0.
+    """
+
+    # Not slots=True: the class that option rebuilds makes assigning any
+    # other name raise TypeError instead of FrozenInstanceError.
+    __slots__ = ("protagonist", "opponents")
     protagonist: float
     opponents: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "protagonist", _check_pct(self.protagonist, "protagonist"))
-        opps = tuple(_check_pct(b, "opponent") for b in self.opponents)
+    def __init__(self, protagonist: float, opponents: Iterable[float]) -> None:
+        object.__setattr__(self, "protagonist", _check_pct(protagonist, "protagonist"))
+        opps = _check_pcts(opponents)
         if not opps:
             raise ValueError("a contest needs at least one opponent")
         object.__setattr__(self, "opponents", opps)
+
+    def __reduce__(self):
+        return Contest, (self.protagonist, self.opponents)
 
     @property
     def n(self) -> int:
@@ -88,10 +116,10 @@ def strength_inv(q: float) -> float:
 
 
 def classify_contest(c: Contest) -> ContestClass:
-    ones = int(c.protagonist == 1.0) + sum(b == 1.0 for b in c.opponents)
+    ones = (c.protagonist == 1.0) + c.opponents.count(1.0)
     if ones >= 2:
         return ContestClass.UNDEFINED
-    if c.protagonist == 0.0 and all(b == 0.0 for b in c.opponents):
+    if c.protagonist == 0.0 and not any(c.opponents):
         return ContestClass.UNDEFINED
     if c.protagonist == 1.0:
         return ContestClass.FORCED_WIN
@@ -132,7 +160,9 @@ def p_n(c: Contest) -> float:
     a = c.protagonist
     # Zero opponents add nothing to the sum; they are dropped only so that a
     # contest with one nonzero opponent reduces to james_p bit for bit.
-    live = [b for b in c.opponents if b != 0.0]
+    live = c.opponents
+    if 0.0 in live:
+        live = [b for b in live if b != 0.0]
     if len(live) == 1:
         return james_p(a, live[0])
     # Each q(b_i) is bounded so long as b_i < 1, and fsum gives a correctly
@@ -152,8 +182,8 @@ def solve_protagonist_complement(opponents: Sequence[float], c: float) -> float:
     c = _check_pct(c, "c")
     if c == 0.0 or c == 1.0:
         raise ValueError("target complement must satisfy 0 < c < 1")
-    opps = [_check_pct(b, "opponent") for b in opponents]
-    if not opps or any(b == 1.0 for b in opps) or all(b == 0.0 for b in opps):
+    opps = _check_pcts(opponents)
+    if not opps or 1.0 in opps or not any(opps):
         raise ValueError("opponents must lie in [0, 1) with at least one nonzero")
     total = math.fsum(strength(b) for b in opps)
     return (1.0 - c) * total / (c + (1.0 - c) * total)
@@ -174,7 +204,7 @@ def balanced_opposition(opponents: Sequence[float], tol: float = 1e-9) -> bool:
     Against such a field the protagonist's win probability equals its own
     winning percentage.
     """
-    opps = [_check_pct(b, "opponent") for b in opponents]
-    if any(b == 1.0 for b in opps):
+    opps = _check_pcts(opponents)
+    if 1.0 in opps:
         return False
     return abs(math.fsum(strength(b) for b in opps) - 1.0) <= tol

@@ -50,8 +50,10 @@ def _require_interior(value: float, name: str) -> float:
 
 def _interior_contest(c: Contest) -> None:
     _require_interior(c.protagonist, "protagonist")
-    for b in c.opponents:
-        _require_interior(b, "opponent")
+    # A Contest holds no NaN, so min and max decide; the loop names the value.
+    if not (0.0 < min(c.opponents) and max(c.opponents) < 1.0):
+        for b in c.opponents:
+            _require_interior(b, "opponent")
 
 
 def p_n_product_form(c: Contest) -> float:

@@ -30,6 +30,7 @@ from itertools import accumulate
 from .core import Contest, ContestClass, UndefinedContestError, classify_contest
 
 __all__ = [
+    "MAX_ROUNDS",
     "MAX_TRIALS",
     "MIN_RESOLVED_TRIALS",
     "AllTrialsAbandonedError",
@@ -43,6 +44,9 @@ MIN_RESOLVED_TRIALS = 30
 # Up to 2^52 every count the Binomial sampler turns into a float, such as
 # n - k + 1, is exact.
 MAX_TRIALS = 2**52
+# Every round cap up to 2^53 is an exact float; far larger ints cannot
+# enter (1 - P1)^R at all.
+MAX_ROUNDS = 2**53
 # The standard normal quantile for a two-sided 95% interval.
 _Z95 = 1.959963984540054
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -61,8 +65,10 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not 1 <= self.trials <= MAX_TRIALS:
             raise ValueError(f"trials must lie in [1, 2**52], got {self.trials}")
-        if self.max_rounds_per_trial < 1:
-            raise ValueError("max_rounds_per_trial must be >= 1")
+        if not 1 <= self.max_rounds_per_trial <= MAX_ROUNDS:
+            raise ValueError(
+                f"max_rounds_per_trial must lie in [1, 2**53], got {self.max_rounds_per_trial}"
+            )
         # random.Random(-s) would silently give the stream of Random(s).
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")

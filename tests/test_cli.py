@@ -220,6 +220,8 @@ class TestSimulate:
             (("--seed", "-1"), ()),
             ((), ("--max-rounds", "0")),
             ((), ("-n", "0")),
+            # Once overflowed the float conversion of (1 - P1)^R with exit 1.
+            ((), ("--max-rounds", "1" + "0" * 400)),
         ],
     )
     def test_bad_config_exits_2_at_once(self, capsys, before, after):

@@ -1,6 +1,10 @@
+import dataclasses
 import math
+import pickle
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +23,9 @@ from multijames import (
     strength_inv,
 )
 
-from _oracles import exact_james, exact_p_n
+from multijames.core import _check_pct
+
+from _oracles import exact_james, exact_p_n, exact_product_form
 
 interior = st.floats(0.01, 0.99)
 opponent_lists = st.lists(interior, min_size=1, max_size=6)
@@ -305,3 +311,148 @@ class TestBalancedOpposition:
 )
 def test_negative_zero_input_gives_positive_zero(call):
     assert math.copysign(1.0, call()) == 1.0
+
+
+BAD_PCTS = [math.nan, math.inf, -math.inf, -0.1, 1.0 + 2.0**-52, 2]
+FIELD = (0.25, 0.5, 0.75)
+
+
+def with_value_at(position, value, field=FIELD):
+    """The field with one value put first, in the middle or last."""
+    opps = list(field)
+    opps.insert({"first": 0, "middle": len(field) // 2, "last": len(field)}[position], value)
+    return opps
+
+
+class TestContestValidation:
+    @pytest.mark.parametrize("position", ["first", "middle", "last"])
+    @pytest.mark.parametrize("bad", BAD_PCTS, ids=repr)
+    def test_bad_opponent_named_by_caller_repr(self, bad, position):
+        with pytest.raises(ValueError) as exc:
+            Contest(0.5, with_value_at(position, bad))
+        assert str(exc.value) == f"opponent must lie in [0, 1], got {bad!r}"
+
+    @pytest.mark.parametrize("bad", BAD_PCTS, ids=repr)
+    def test_first_of_two_bad_values_is_named(self, bad):
+        for opps, first in (((0.5, 2, bad), 2), ((0.5, bad, 2), bad)):
+            with pytest.raises(ValueError) as exc:
+                Contest(0.5, opps)
+            assert str(exc.value).endswith(f"got {first!r}")
+
+    @pytest.mark.parametrize("position", ["first", "middle", "last"])
+    def test_negative_zero_stored_as_positive_zero(self, position):
+        opps = Contest(0.5, with_value_at(position, -0.0)).opponents
+        assert opps == tuple(with_value_at(position, 0.0))
+        assert all(math.copysign(1.0, b) == 1.0 for b in opps)
+
+    @pytest.mark.parametrize("position", ["first", "middle", "last"])
+    @pytest.mark.parametrize(
+        "value, stored",
+        [(1, 1.0), (0, 0.0), ("0.125", 0.125), (np.float64(0.375), 0.375)],
+        ids=["int-1", "int-0", "str", "numpy-float64"],
+    )
+    def test_elements_stored_as_float(self, value, stored, position):
+        opps = Contest(0.5, with_value_at(position, value)).opponents
+        assert opps == tuple(with_value_at(position, stored))
+        assert all(type(b) is float for b in opps)
+
+    def test_generator_and_list_arguments(self):
+        expected = Contest(0.5, (0.25, 0.5))
+        assert Contest(0.5, (b for b in (0.25, 0.5))) == expected
+        assert Contest(0.5, [0.25, 0.5]) == expected
+        assert Contest(protagonist=0.5, opponents=[0.25, 0.5]) == expected
+        assert type(Contest(0.5, [0.25]).opponents) is tuple
+
+    def test_value_semantics(self):
+        c = Contest(0.5, (0.25, 1))
+        same = Contest(0.5, (0.25, 1.0))
+        assert c == same and hash(c) == hash(same)
+        assert c != Contest(0.5, (1.0, 0.25))
+        assert repr(c) == "Contest(protagonist=0.5, opponents=(0.25, 1.0))"
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(c, protocol)) == c
+
+    @pytest.mark.parametrize("attr", ["protagonist", "opponents", "other"])
+    def test_assignment_raises(self, attr):
+        c = Contest(0.5, (0.25,))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(c, attr, 0.1)
+        assert c == Contest(0.5, (0.25,))
+
+
+# One ulp inside each end of [0, 1], the subnormal edges, and the ends themselves.
+EDGE_PCTS = (0.0, -0.0, 1.0, 5e-324, 2.0**-1022 - 5e-324, 2.0**-1022, 1.0 - 2.0**-53, 0.5)
+OUT_OF_DOMAIN = (math.nan, math.inf, -math.inf, -5e-324, -0.1, 1.0 + 2.0**-52)
+FULL_DOMAIN_SEED = 9
+FULL_DOMAIN_CONTESTS = 3000
+# Relative above the subnormal range, absolute inside it.  p_n is about seven
+# roundings of positive terms with no cancellation, some 8 ulps.  A product
+# that lands on the subnormal grid loses relative precision, but its error
+# stays below the smallest normal float: one opponent goes through james_p,
+# whose a * (1 - b) is such a product when a is subnormal.
+P_N_REL_BOUND = 2e-15
+P_N_ABS_BOUND = 2.0**-1022
+
+
+def full_domain_pct(rng):
+    u = rng.random()
+    if u < 0.02:
+        return rng.choice(OUT_OF_DOMAIN)
+    if u < 0.25:
+        return rng.choice(EDGE_PCTS)
+    if u < 0.40:
+        return rng.randrange(1, 2**52) * 5e-324  # subnormal
+    if u < 0.60:
+        return 10.0 ** -rng.uniform(0.0, 300.0)
+    if u < 0.80:
+        return 1.0 - 10.0 ** -rng.uniform(0.0, 16.0)
+    return rng.random()
+
+
+def reference_contest(a, bs):
+    """What Contest stored before its fast path: _check_pct, value by value."""
+    return _check_pct(a, "protagonist"), tuple(_check_pct(b, "opponent") for b in bs)
+
+
+def exact_or_none(a, bs):
+    """exact_p_n, extended by the product form to a single percentage of 1; None if undefined."""
+    try:
+        return exact_p_n(a, bs)
+    except ZeroDivisionError:
+        pass
+    try:
+        return exact_product_form(a, bs)
+    except ZeroDivisionError:
+        return None
+
+
+def test_full_domain_contest_and_p_n():
+    rng = random.Random(FULL_DOMAIN_SEED)
+    checked = undefined = 0
+    for _ in range(FULL_DOMAIN_CONTESTS):
+        n = rng.choice((1, 2, 3, 4, 8, 16))
+        a = full_domain_pct(rng)
+        bs = tuple(full_domain_pct(rng) for _ in range(n))
+        try:
+            ref = reference_contest(a, bs)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                Contest(a, bs)
+            assert str(got.value) == str(exc)
+            continue
+        c = Contest(a, bs)
+        assert [v.hex() for v in (c.protagonist, *c.opponents)] == [
+            v.hex() for v in (ref[0], *ref[1])
+        ]
+        exact = exact_or_none(*ref)
+        if exact is None:
+            with pytest.raises(UndefinedContestError):
+                p_n(c)
+            undefined += 1
+            continue
+        got = p_n(c)
+        assert abs(Fraction(got) - exact) <= P_N_REL_BOUND * exact + Fraction(P_N_ABS_BOUND), (
+            a, bs, got, float(exact))
+        checked += 1
+    # The draw must reach every outcome it is meant to cover.
+    assert checked > FULL_DOMAIN_CONTESTS // 2 and undefined > 10

@@ -90,6 +90,15 @@ class TestSumFormula:
         with pytest.raises(ValueError):
             odds_from_sum(Contest(0.5, (0.0,)))
 
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("edge", [0.0, 1.0])
+    def test_boundary_opponent_named_anywhere(self, edge, position):
+        opps = [0.25, 0.75]
+        opps.insert(position, edge)
+        with pytest.raises(ValueError) as exc:
+            odds_from_sum(Contest(0.5, opps))
+        assert str(exc.value) == f"opponent must lie strictly inside (0, 1), got {edge!r}"
+
 
 class TestSubstitution:
     @given(interior, opponent_lists)

@@ -6,6 +6,7 @@ import pytest
 
 from multijames import Contest, UndefinedContestError, p_n
 from multijames.simulate import (
+    MAX_ROUNDS,
     MAX_TRIALS,
     MIN_RESOLVED_TRIALS,
     AllTrialsAbandonedError,
@@ -203,6 +204,8 @@ class TestEstimate:
             SimConfig(trials=1, max_rounds_per_trial=0)
         with pytest.raises(ValueError, match="trials must lie in"):
             SimConfig(trials=MAX_TRIALS + 1)
+        with pytest.raises(ValueError, match="max_rounds_per_trial must lie in"):
+            SimConfig(trials=1, max_rounds_per_trial=MAX_ROUNDS + 1)
         with pytest.raises(ValueError, match="seed must be >= 0"):
             SimConfig(trials=1, seed=-1)
 
@@ -211,6 +214,12 @@ class TestEstimate:
         result = estimate_p_n(contest, SimConfig(trials=MAX_TRIALS, seed=8))
         assert result.trials == MAX_TRIALS
         assert abs(result.win_probability_estimate - p_n(contest)) < 5 * result.standard_error
+
+    def test_max_rounds(self):
+        # (1 - P1)^R underflows to 0 here, so no trial is abandoned.
+        contest = Contest(0.6, (0.4,))
+        result = estimate_p_n(contest, SimConfig(trials=1000, max_rounds_per_trial=MAX_ROUNDS))
+        assert result.trials_abandoned == 0
 
     def test_result_trials_property(self):
         r = SimResult(0.5, 0.01, 90, 10, {0: 45, 1: 45})
