@@ -27,6 +27,9 @@ __all__ = [
 ]
 
 
+_TINY = 2.0**-1022  # the smallest normal float
+
+
 class UndefinedContestError(ValueError):
     """The requested probability has no defined value.
 
@@ -139,6 +142,10 @@ def james_p(a: float, b: float) -> float:
     if a == b and (a == 0.0 or a == 1.0):
         raise UndefinedContestError(f"probability undefined for a = b = {a}")
     num = a * (1.0 - b)
+    if num < _TINY and a > 0.0 and b < 1.0:
+        # a(1 - b) rounded on the subnormal grid, or to 0; this form rounds
+        # only its result there.
+        return a / (a + (1.0 - a) * (b / (1.0 - b)))
     return num / (num + b * (1.0 - a))
 
 

@@ -1,10 +1,18 @@
 """Alternate evaluators for the multi-opponent win probability.
 
 Each function here recomputes the same probability as :func:`core.p_n`, but
-through a different algebraic route built from single-opponent probabilities.
+through a different algebraic route built from pairwise and sub-field odds.
 They serve both as user-selectable computation methods and as a
 cross-agreement test battery, so none of them simply delegates its own
 arithmetic to the direct evaluator.
+
+Odds against the protagonist are formed directly from the percentages, as
+q(b)(1 - a)/a for one opponent and (1 - a) sum q(b_i)/a for a field, where
+q(b) = b/(1 - b).  No evaluator goes through a probability p and back as
+1/p - 1, which cancels as p approaches 1, and none divides by zero on an
+interior input.  The shifted and expanded sums also multiply odds between
+two opponents, q(b_j)/q(b_i); below a percentage of about 1e-290 such a
+factor can leave the float range, and their result loses its accuracy.
 """
 
 from __future__ import annotations
@@ -14,11 +22,11 @@ from itertools import compress
 from typing import Sequence
 
 from .core import (
+    _TINY,
     Contest,
     ContestClass,
     UndefinedContestError,
     classify_contest,
-    james_p,
     p_n,
 )
 
@@ -37,9 +45,31 @@ __all__ = [
 ]
 
 
-def _odds(p: float) -> float:
-    """The odds-against value 1/p - 1, i.e. P(loss)/P(win)."""
-    return 1.0 / p - 1.0
+def _strength_sum(field: Sequence[float]) -> float:
+    """Sum of q(b) = b/(1 - b) over a field with every b < 1, correctly rounded."""
+    return math.fsum([b / (1.0 - b) for b in field])
+
+
+def _sum_odds(terms: list[float]) -> float:
+    """fsum of nonnegative odds; inf where the total overflows, so 1/(1 + odds) is 0."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:  # fsum raises rather than round a finite total to inf
+        return math.inf
+
+
+def _pair_odds(a: float, b: float) -> float:
+    """Odds against a in one game with b: b(1 - a) / (a(1 - b)).
+
+    Formed as q(b)(1 - a)/a, which divides only by a and overflows only where
+    the odds themselves do.
+    """
+    return b / (1.0 - b) * (1.0 - a) / a
+
+
+def _field_odds(a: float, field: Sequence[float]) -> float:
+    """Odds against a when it meets a whole field at once: (1 - a) sum q(b_i) / a."""
+    return _strength_sum(field) * (1.0 - a) / a
 
 
 def _require_interior(value: float, name: str) -> float:
@@ -104,15 +134,36 @@ def p_n_product_form(c: Contest) -> float:
 def odds_from_sum(c: Contest) -> float:
     """Sum Formula: the odds against the protagonist, as a sum over opponents."""
     _interior_contest(c)
-    return math.fsum(_odds(james_p(c.protagonist, b)) for b in c.opponents)
+    a = c.protagonist
+    return _sum_odds([_pair_odds(a, b) for b in c.opponents])
 
 
 def p_n_substitution(c: Contest, pivot: float) -> float:
-    """Substitution Formula: route the odds through an arbitrary pivot percentage."""
+    """Substitution Formula: route the odds through an arbitrary pivot percentage.
+
+    The odds are the pivot's pairwise odds against the protagonist,
+    q(pivot)(1 - a)/a, times the field's odds against the pivot,
+    sum q(b_i) (1 - pivot)/pivot.  A pivot or protagonist near 0 or 1 takes
+    either factor out of the float range while their product stays in it, so
+    the six factors are multiplied as ``math.frexp`` mantissas and exponents.
+    """
     _interior_contest(c)
     pivot = _require_interior(float(pivot), "pivot")
-    odds = _odds(james_p(c.protagonist, pivot)) * _odds(p_n(Contest(pivot, c.opponents)))
-    return 1.0 / (1.0 + odds)
+    a = c.protagonist
+    m, e = 1.0, 0
+    for x in (pivot / (1.0 - pivot), 1.0 - a, _strength_sum(c.opponents), 1.0 - pivot):
+        x_m, x_e = math.frexp(x)
+        m *= x_m
+        e += x_e
+    for x in (a, pivot):
+        x_m, x_e = math.frexp(x)
+        m /= x_m
+        e -= x_e
+    # m lies in [1/16, 4), so neither ldexp below can overflow.
+    if e > 0:
+        inverse = math.ldexp(1.0 / m, -e)
+        return inverse / (1.0 + inverse)
+    return 1.0 / (1.0 + math.ldexp(m, e))
 
 
 def validate_partition(blocks: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...], ...]:
@@ -138,10 +189,8 @@ def p_n_partitioned(c: Contest, blocks: Sequence[Sequence[int]]) -> float:
     """Partitioned sum formula: odds add across any split of the opponent set."""
     _interior_contest(c)
     parts = validate_partition(blocks, c.n)
-    odds = math.fsum(
-        _odds(p_n(Contest(c.protagonist, tuple(c.opponents[i] for i in block))))
-        for block in parts
-    )
+    a, opps = c.protagonist, c.opponents
+    odds = _sum_odds([_field_odds(a, [opps[i] for i in block]) for block in parts])
     return 1.0 / (1.0 + odds)
 
 
@@ -149,7 +198,9 @@ def p_n_reduction(c: Contest) -> float:
     """Reduction Formula: peel off the first opponent, recurse on the rest.
 
     Valid with the remaining opponents at 0; the empty field is treated as
-    probability 1.
+    probability 1.  Raises ``ValueError`` when the first opponent's
+    probability of beating the rest falls below 2**-1022, where it no longer
+    carries the precision that dividing by it needs.
     """
     a = _require_interior(c.protagonist, "protagonist")
     b1 = c.opponents[0]
@@ -158,8 +209,12 @@ def p_n_reduction(c: Contest) -> float:
     if any(b >= 1.0 for b in rest):
         raise ValueError("remaining opponents must lie in [0, 1)")
     p_rest = p_n(Contest(b1, rest)) if rest else 1.0
-    odds = _odds(james_p(a, b1)) / p_rest
-    return 1.0 / (1.0 + odds)
+    if p_rest < _TINY:
+        raise ValueError(
+            f"reduction: the first opponent beats the rest with probability {p_rest!r}, "
+            "below 2**-1022; put a stronger opponent first"
+        )
+    return 1.0 / (1.0 + _pair_odds(a, b1) / p_rest)
 
 
 def p_n_shifted_sum(c: Contest) -> float:
@@ -167,8 +222,8 @@ def p_n_shifted_sum(c: Contest) -> float:
     _interior_contest(c)
     a = c.protagonist
     b1 = c.opponents[0]
-    inner = 1.0 + math.fsum(_odds(james_p(b1, b)) for b in c.opponents[1:])
-    return 1.0 / (1.0 + _odds(james_p(a, b1)) * inner)
+    inner = 1.0 + _sum_odds([_pair_odds(b1, b) for b in c.opponents[1:]])
+    return 1.0 / (1.0 + _pair_odds(a, b1) * inner)
 
 
 def p_n_expanded_sum(c: Contest) -> float:
@@ -178,9 +233,9 @@ def p_n_expanded_sum(c: Contest) -> float:
     terms = []
     product = 1.0
     for prev, cur in zip(chain, chain[1:]):
-        product *= _odds(james_p(prev, cur))
+        product *= _pair_odds(prev, cur)
         terms.append(product)
-    return 1.0 / (1.0 + math.fsum(terms))
+    return 1.0 / (1.0 + _sum_odds(terms))
 
 
 def distorted_difference(
@@ -207,17 +262,16 @@ def distorted_difference(
 def odds_ratio(c1: Contest, c2: Contest) -> float:
     """Odds of winning contest c1 over odds of winning contest c2.
 
-    Both contests must feature the same protagonist; the value then equals
-    the ratio of total opponent strengths (c2 over c1) and does not depend
-    on the protagonist's percentage at all.
+    Both contests must feature the same protagonist; the value is then the
+    ratio of the field odds against it, c2's over c1's.  Their common factor
+    (1 - a)/a cancels, which leaves the ratio of total opponent strengths, so
+    the value does not depend on the protagonist's percentage at all.
     """
     if c1.protagonist != c2.protagonist:
         raise ValueError("odds_ratio requires a common protagonist")
     _interior_contest(c1)
     _interior_contest(c2)
-    p1 = p_n(c1)
-    p2 = p_n(c2)
-    return (p1 / (1.0 - p1)) / (p2 / (1.0 - p2))
+    return _strength_sum(c2.opponents) / _strength_sum(c1.opponents)
 
 
 def iia_ratio(a: float, b: float, shared: Sequence[float] = ()) -> float:

@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 from .core import Contest, james_p, p_n, strength
-from .identities import _odds
 
 __all__ = [
     "CandidateFamily",
@@ -348,6 +347,11 @@ def _supported(f: CandidateFamily, spec: SampleSpec) -> SampleSpec:
     """``spec`` narrowed to the opponent counts that ``f`` supports."""
     n_values = tuple(n for n in spec.n_values if f.max_n is None or n <= f.max_n)
     return replace(spec, n_values=n_values)
+
+
+def _odds(p: float) -> float:
+    """The odds-against value 1/p - 1, i.e. P(loss)/P(win)."""
+    return 1.0 / p - 1.0
 
 
 def _uniform(rng: random.Random, spec: SampleSpec) -> float:

@@ -1,13 +1,17 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from multijames import __version__, cli
+
+from _oracles import exact_p_n
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -152,6 +156,72 @@ class TestPredict:
         assert code == 0
         assert payload["probability"] == pytest.approx(expected, rel=1e-9, abs=0.0)
         assert err == ""
+
+    @pytest.mark.parametrize("how", [("--method", "reduction"), ("--all-methods",)])
+    def test_subnormal_protagonist_every_method(self, capsys, how):
+        # The odds against a overflow to inf here; 1/p - 1 divided by zero.
+        code, payload, err = run_json(
+            capsys, "predict", "-a", "5e-324", "-b", "0.555346112404169", *how
+        )
+        assert code == 0 and err == ""
+        exact = exact_p_n(5e-324, (0.555346112404169,))
+        values = payload["methods"].values() if "methods" in payload else [payload["probability"]]
+        for value in values:
+            assert abs(Fraction(value) - exact) <= 2.0**-1022
+
+    def test_near_one_pairwise_probabilities(self, capsys):
+        # reduction, shifted and expanded returned about 1.0 for about 3e-13.
+        code, payload, _ = run_json(
+            capsys,
+            "predict", "-a", "0.9964055423011359",
+            "-b", "2.076322614354331e-15,0.999999999999999", "--all-methods",
+        )
+        assert code == 0
+        assert payload["max_discrepancy"] <= 1e-12
+
+    def test_subnormal_pivot(self, capsys):
+        code, payload, err = run_json(
+            capsys,
+            "predict", "-a", "0.5", "-b", "0.5", "--method", "substitution", "--pivot", "1e-320",
+        )
+        assert code == 0 and err == ""
+        assert payload["probability"] == pytest.approx(0.5, rel=1e-15)
+
+    def test_reduction_underflow_exits_2(self, capsys):
+        code, _, err = run(capsys, "predict", "-a", "0.5", "-b", "5e-324,0.9", "--method", "reduction")
+        assert code == 2
+        assert err.startswith("error: reduction:")
+
+    def test_full_domain_exits_0_or_2(self, capsys):
+        # Seed and size were fixed before the first run.
+        rng = random.Random(12)
+        edges = ("0", "1", "-0.0", "5e-324", repr(2.0**-1022), repr(1.0 - 2.0**-53), "0.5")
+        bad = ("nan", "inf", "-0.1", repr(1.0 + 2.0**-52))
+
+        def pct():
+            u = rng.random()
+            if u < 0.02:
+                return rng.choice(bad)
+            if u < 0.2:
+                return rng.choice(edges)
+            if u < 0.35:
+                return repr(rng.randrange(1, 2**52) * 5e-324)
+            if u < 0.6:
+                return repr(10.0 ** -rng.uniform(0.0, 300.0))
+            if u < 0.8:
+                return repr(1.0 - 10.0 ** -rng.uniform(0.0, 16.0))
+            return repr(rng.random())
+
+        codes = []
+        for _ in range(1000):
+            bs = ",".join(pct() for _ in range(rng.choice((1, 2, 3, 4, 8))))
+            # The = form keeps argparse from reading "-0.0,..." as an option.
+            argv = ["predict", f"-a={pct()}", f"-b={bs}", f"--pivot={pct()}", "--all-methods"]
+            code, _, err = run(capsys, *argv)
+            assert code in (0, 2), argv
+            assert err == "" if code == 0 else err.startswith("error:"), argv
+            codes.append(code)
+        assert codes.count(0) > 200 and codes.count(2) > 200
 
 
 class TestSimulate:

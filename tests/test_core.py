@@ -100,6 +100,33 @@ class TestJamesP:
         with pytest.raises(UndefinedContestError):
             james_p(1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (1e-315, 1e-10),
+            (5e-324, 0.38187143371746135),
+            (5e-324, 0.5),
+            (1e-300, 1.0 - 2.0**-53),
+            (2.0**-1022, 0.5),
+        ],
+    )
+    def test_subnormal_numerator_rounds_once(self, a, b):
+        # a * (1 - b) lands on the subnormal grid, or below it; rounding it
+        # there cost 1e-10 relative in the first case and a whole step in the
+        # second.
+        exact = exact_james(a, b)
+        got = james_p(a, b)
+        assert abs(Fraction(got) - exact) <= 2e-15 * exact + Fraction(5e-324)
+        assert p_n(Contest(a, (b,))) == got
+
+    def test_underflowed_numerator_is_not_zero(self):
+        # a * (1 - b) rounds to 0.0 here, but the exact value is a itself.
+        assert james_p(5e-324, 0.5) == 5e-324
+
+    @pytest.mark.parametrize("a, b", [(0.0, 0.5), (0.5, 1.0), (5e-324, 1.0)])
+    def test_exact_zero_keeps_its_path(self, a, b):
+        assert james_p(a, b).hex() == (0.0).hex()
+
     @given(interior, interior)
     def test_complementarity(self, a, b):
         assert james_p(a, b) + james_p(b, a) == pytest.approx(1.0, abs=1e-12)
@@ -387,11 +414,11 @@ FULL_DOMAIN_SEED = 9
 FULL_DOMAIN_CONTESTS = 3000
 # Relative above the subnormal range, absolute inside it.  p_n is about seven
 # roundings of positive terms with no cancellation, some 8 ulps.  A product
-# that lands on the subnormal grid loses relative precision, but its error
-# stays below the smallest normal float: one opponent goes through james_p,
-# whose a * (1 - b) is such a product when a is subnormal.
+# rounded on the subnormal grid before the last division would lose relative
+# precision; james_p switches forms there, so a result inside that range is
+# off by one step at most.
 P_N_REL_BOUND = 2e-15
-P_N_ABS_BOUND = 2.0**-1022
+P_N_ABS_BOUND = 5e-324
 
 
 def full_domain_pct(rng):

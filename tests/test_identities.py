@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from multijames import Contest, UndefinedContestError, james_p, p_n, strength
+from multijames import Contest, UndefinedContestError, cli, james_p, p_n, strength
 from multijames.identities import (
     distorted_difference,
     iia_ratio,
@@ -21,7 +21,7 @@ from multijames.identities import (
     validate_partition,
 )
 
-from _oracles import exact_p_n, exact_product_form
+from _oracles import exact_p_n, exact_product_form, exact_strength
 
 interior = st.floats(0.01, 0.99)
 opponent_lists = st.lists(interior, min_size=1, max_size=6)
@@ -99,6 +99,15 @@ class TestSumFormula:
             odds_from_sum(Contest(0.5, opps))
         assert str(exc.value) == f"opponent must lie strictly inside (0, 1), got {edge!r}"
 
+    def test_overflowing_total(self):
+        # Each term is near the largest float, so fsum's total overflows.  The
+        # exact probability, 4.1e-309, is then within 2**-1022 of 0.0.
+        a, bs = 1.300396413717238e-308, (0.6995037488483575, 0.0677, 0.2476, 0.2909)
+        assert odds_from_sum(Contest(a, bs)) == math.inf
+        exact = exact_p_n(a, bs)
+        for evaluate in cli.METHODS.values():
+            assert abs(Fraction(evaluate(Contest(a, bs), 0.5, None)) - exact) <= 2.0**-1022
+
 
 class TestSubstitution:
     @given(interior, opponent_lists)
@@ -118,6 +127,23 @@ class TestSubstitution:
     def test_rejects_boundary_pivot(self):
         with pytest.raises(ValueError):
             p_n_substitution(Contest(0.5, (0.5,)), 1.0)
+
+    @pytest.mark.parametrize(
+        "a, bs, pivot",
+        [
+            (0.5, (0.5,), 1e-320),
+            (0.5, (0.99,), 1e-307),
+            (1e-300, (1e-300,), 1.0 - 2.0**-53),
+            (5e-324, (5e-324,), 0.5),
+            (1.0 - 2.0**-53, (0.5, 1.0 - 2.0**-53), 5e-324),
+        ],
+    )
+    def test_extreme_pivot_or_protagonist(self, a, bs, pivot):
+        # At least one factor leaves the float range here; their product does not.
+        # The first case printed nan, and the others gave 0.0 or nan.
+        exact = exact_p_n(a, bs)
+        got = p_n_substitution(Contest(a, bs), pivot)
+        assert abs(Fraction(got) - exact) <= 1e-15 * exact
 
 
 class TestPartition:
@@ -178,6 +204,17 @@ class TestReduction:
         with pytest.raises(ValueError):
             p_n_reduction(Contest(0.5, (0.0, 0.5)))
 
+    @pytest.mark.parametrize("bs", [(5e-324, 0.9), (1e-310, 0.5), (1e-300, 1.0 - 2.0**-53)])
+    def test_rejects_first_opponent_lost_against_the_rest(self, bs):
+        # P(b1 beats the rest) is subnormal or 0.0, so dividing by it would
+        # give a wrong value or a ZeroDivisionError.
+        with pytest.raises(ValueError, match=r"below 2\*\*-1022"):
+            p_n_reduction(Contest(0.5, bs))
+
+    def test_first_opponent_just_above_the_floor(self):
+        a, bs = 0.5, (2.0**-1020, 0.5)
+        assert p_n_reduction(Contest(a, bs)) == pytest.approx(float(exact_p_n(a, bs)), rel=1e-15)
+
 
 class TestShiftedSum:
     @given(interior, interior)
@@ -193,6 +230,12 @@ class TestExpandedSum:
     def test_frozen_chain_terms(self):
         # Chain terms: q(0.8)/q(0.5) = 4 and 4 * q(0.5)/q(0.8) = 1: odds = 5.
         assert p_n_expanded_sum(Contest(0.5, (0.8, 0.5))) == pytest.approx(1 / 6, rel=1e-14)
+
+    def test_chain_through_near_one_opponents(self):
+        # Each pairwise probability in the chain is near 1; 1/p - 1 left
+        # this 5.2% low.
+        c = Contest(0.5, (0.999999, 1e-9, 0.999999))
+        assert p_n_expanded_sum(c) == pytest.approx(p_n(c), rel=1e-12)
 
     @given(interior, st.lists(interior, min_size=2, max_size=6), st.randoms(use_true_random=False))
     def test_permutation_agreement(self, a, bs, rnd):
@@ -255,6 +298,13 @@ class TestOddsRatio:
             expected, rel=1e-12
         )
 
+    def test_tiny_fields(self):
+        # Both probabilities are near 1, so 1 - p cost 1.1e-5 relative.
+        c1, c2 = (1e-12,), (3e-12, 1e-13)
+        exact = sum(map(exact_strength, c2)) / sum(map(exact_strength, c1))
+        got = odds_ratio(Contest(0.5, c1), Contest(0.5, c2))
+        assert abs(Fraction(got) - exact) <= 1e-15 * exact
+
     def test_protagonist_mismatch(self):
         with pytest.raises(ValueError):
             odds_ratio(Contest(0.4, (0.5,)), Contest(0.5, (0.5,)))
@@ -300,3 +350,36 @@ class TestCrossAgreement:
         assert p_n(c) == pytest.approx(expected, rel=1e-13)
         assert p_n_product_form(c) == pytest.approx(expected, rel=1e-13)
         assert p_n_expanded_sum(c) == pytest.approx(expected, rel=1e-13)
+
+
+# The fuzz from ROADMAP item 1: percentages piled up near 0 and near 1,
+# where odds formed as 1/p - 1 cancel.  Seed and size were fixed before the
+# first run.
+FUZZ_SEED = 11
+FUZZ_CONTESTS = 20_000
+FUZZ_REL_BOUND = 1e-9
+
+
+def near_ends_pct(rng):
+    u = rng.random()
+    if u < 0.4:
+        return 10.0 ** -rng.uniform(0.0, 15.0)
+    if u < 0.8:
+        return 1.0 - 10.0 ** -rng.uniform(0.0, 15.0)
+    return rng.uniform(0.05, 0.95)
+
+
+def test_every_method_near_both_ends():
+    rng = random.Random(FUZZ_SEED)
+    failures = dict.fromkeys(cli.METHODS, 0)
+    for _ in range(FUZZ_CONTESTS):
+        n = rng.choice((1, 2, 3, 4, 8))
+        a = near_ends_pct(rng)
+        bs = tuple(near_ends_pct(rng) for _ in range(n))
+        c = Contest(a, bs)
+        # Every exact value here exceeds 1e-32, so a float holds it to 1e-16.
+        exact = float(exact_p_n(a, bs))
+        for method, evaluate in cli.METHODS.items():
+            if abs(evaluate(c, 0.5, None) - exact) > FUZZ_REL_BOUND * exact:
+                failures[method] += 1
+    assert failures == dict.fromkeys(cli.METHODS, 0)
