@@ -4,14 +4,11 @@ from .core import (
     Contest,
     ContestClass,
     UndefinedContestError,
-    balanced_opposition,
     classify_contest,
     james_p,
     level_transform,
     p_n,
-    solve_protagonist_complement,
     strength,
-    strength_inv,
 )
 
 __version__ = "0.1.0"
@@ -20,12 +17,9 @@ __all__ = [
     "Contest",
     "ContestClass",
     "UndefinedContestError",
-    "balanced_opposition",
     "classify_contest",
     "james_p",
     "level_transform",
     "p_n",
-    "solve_protagonist_complement",
     "strength",
-    "strength_inv",
 ]

@@ -156,6 +156,8 @@ def _load_graph(path: str, root_override: str | None = None) -> CompetitionGraph
         raise ParseError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc})") from None
     if not isinstance(payload, dict) or "edges" not in payload:
         raise ParseError(f"{path}: expected an object with 'root' and 'edges'")
     root = root_override or payload.get("root")
@@ -209,29 +211,32 @@ def _load_events(path: str) -> list[EventRecord]:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["event_id", "competitor", "rank"]:
-            raise ParseError(
-                f"{path}:1: expected header 'event_id,competitor,rank', got {header}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-            event_id, competitor, rank_text = (cell.strip() for cell in row)
-            try:
-                rank = int(rank_text)
-            except ValueError:
+    try:
+        with fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header] != ["event_id", "competitor", "rank"]:
                 raise ParseError(
-                    f"{path}:{lineno}: rank must be an integer, got {rank_text!r}"
-                ) from None
-            if event_id not in placements:
-                placements[event_id] = []
-                order.append(event_id)
-            placements[event_id].append((competitor, rank))
+                    f"{path}:1: expected header 'event_id,competitor,rank', got {header}"
+                )
+            for lineno, row in enumerate(reader, start=2):
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if len(row) != 3:
+                    raise ParseError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
+                event_id, competitor, rank_text = (cell.strip() for cell in row)
+                try:
+                    rank = int(rank_text)
+                except ValueError:
+                    raise ParseError(
+                        f"{path}:{lineno}: rank must be an integer, got {rank_text!r}"
+                    ) from None
+                if event_id not in placements:
+                    placements[event_id] = []
+                    order.append(event_id)
+                placements[event_id].append((competitor, rank))
+    except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8 text, or a field over csv's limit
+        raise ParseError(f"{path}: unreadable as UTF-8 CSV ({exc})") from None
     try:
         return [EventRecord(eid, tuple(placements[eid])) for eid in order]
     except MalformedRanksError as exc:
@@ -261,7 +266,7 @@ def _build_family(spec_text: str):
             return GridFamily.from_file(path)
         except OSError as exc:
             raise ParseError(f"cannot read {path}: {exc}") from None
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+        except ValueError as exc:  # JSONDecodeError included
             raise ParseError(f"{path}: malformed grid family file ({exc})") from None
     raise ParseError(
         f"unknown family {spec_text!r}; use builtin, grid:PATH, or "

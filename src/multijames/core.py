@@ -10,20 +10,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = [
     "Contest",
     "ContestClass",
     "UndefinedContestError",
-    "balanced_opposition",
     "classify_contest",
     "james_p",
     "level_transform",
     "p_n",
-    "solve_protagonist_complement",
     "strength",
-    "strength_inv",
 ]
 
 
@@ -108,16 +105,6 @@ def strength(s: float) -> float:
     return s / (1.0 - s)
 
 
-def strength_inv(q: float) -> float:
-    """Inverse of :func:`strength`: maps [0, inf] back to [0, 1]."""
-    q = float(q) + 0.0
-    if math.isnan(q) or q < 0.0:
-        raise ValueError(f"strength must be nonnegative, got {q!r}")
-    if math.isinf(q):
-        return 1.0
-    return q / (1.0 + q)
-
-
 def classify_contest(c: Contest) -> ContestClass:
     ones = (c.protagonist == 1.0) + c.opponents.count(1.0)
     if ones >= 2:
@@ -179,23 +166,6 @@ def p_n(c: Contest) -> float:
     return a / (a + (1.0 - a) * total)
 
 
-def solve_protagonist_complement(opponents: Sequence[float], c: float) -> float:
-    """Solve p_n(a; opponents) = 1 - c for the protagonist percentage a.
-
-    The defining relation a*c = (1-a)(1-c) * sum(q(b_i)) is symmetric in a
-    and c, so solving with the answer as the new target returns the original
-    protagonist.
-    """
-    c = _check_pct(c, "c")
-    if c == 0.0 or c == 1.0:
-        raise ValueError("target complement must satisfy 0 < c < 1")
-    opps = _check_pcts(opponents)
-    if not opps or 1.0 in opps or not any(opps):
-        raise ValueError("opponents must lie in [0, 1) with at least one nonzero")
-    total = math.fsum(strength(b) for b in opps)
-    return (1.0 - c) * total / (c + (1.0 - c) * total)
-
-
 def level_transform(s: float, t: float) -> float:
     """Rescale a percentage so its strength is multiplied by a finite t > 0."""
     s = _check_pct(s)
@@ -203,15 +173,3 @@ def level_transform(s: float, t: float) -> float:
     if not 0.0 < t < math.inf:
         raise ValueError(f"scale factor must be positive and finite, got {t!r}")
     return t * s / (1.0 + (t - 1.0) * s)
-
-
-def balanced_opposition(opponents: Sequence[float], tol: float = 1e-9) -> bool:
-    """True when the opponents' strengths sum to 1 (within tol).
-
-    Against such a field the protagonist's win probability equals its own
-    winning percentage.
-    """
-    opps = _check_pcts(opponents)
-    if 1.0 in opps:
-        return False
-    return abs(math.fsum(strength(b) for b in opps) - 1.0) <= tol

@@ -31,10 +31,7 @@ from .core import (
 )
 
 __all__ = [
-    "distorted_difference",
-    "iia_ratio",
     "odds_from_sum",
-    "odds_ratio",
     "p_n_expanded_sum",
     "p_n_partitioned",
     "p_n_product_form",
@@ -236,55 +233,3 @@ def p_n_expanded_sum(c: Contest) -> float:
         product *= _pair_odds(prev, cur)
         terms.append(product)
     return 1.0 / (1.0 + _sum_odds(terms))
-
-
-def distorted_difference(
-    b: float,
-    a: float,
-    c_rest: Sequence[float] = (),
-    d_rest: Sequence[float] = (),
-) -> float:
-    """Distorted Difference Formula: P_m(b; a, d_rest) from P_n(a; b, c_rest).
-
-    With both rest-lists empty this reduces exactly to 1 - james_p(a, b),
-    the complementarity of the single-opponent game.
-    """
-    a = _require_interior(float(a), "a")
-    b = _require_interior(float(b), "b")
-    c_rest = tuple(_require_interior(float(x), "c_rest entry") for x in c_rest)
-    d_rest = tuple(_require_interior(float(x), "d_rest entry") for x in d_rest)
-    delta1 = p_n(Contest(b, c_rest)) if c_rest else 1.0
-    delta2 = p_n(Contest(a, d_rest)) if d_rest else 1.0
-    p_na = p_n(Contest(a, (b,) + c_rest))
-    return (1.0 - p_na) / (1.0 + (1.0 / (delta1 * delta2) - 1.0) * p_na)
-
-
-def odds_ratio(c1: Contest, c2: Contest) -> float:
-    """Odds of winning contest c1 over odds of winning contest c2.
-
-    Both contests must feature the same protagonist; the value is then the
-    ratio of the field odds against it, c2's over c1's.  Their common factor
-    (1 - a)/a cancels, which leaves the ratio of total opponent strengths, so
-    the value does not depend on the protagonist's percentage at all.
-    """
-    if c1.protagonist != c2.protagonist:
-        raise ValueError("odds_ratio requires a common protagonist")
-    _interior_contest(c1)
-    _interior_contest(c2)
-    return _strength_sum(c2.opponents) / _strength_sum(c1.opponents)
-
-
-def iia_ratio(a: float, b: float, shared: Sequence[float] = ()) -> float:
-    """Ratio of b's and a's win probabilities against a shared field.
-
-    Independent of the shared opponents: always q(b)/q(a).
-    """
-    a = _require_interior(float(a), "a")
-    b = _require_interior(float(b), "b")
-    shared_t = tuple(float(x) for x in shared)
-    for x in shared_t:
-        if x < 0.0 or x >= 1.0:
-            raise ValueError("shared opponents must lie in [0, 1)")
-    top = p_n(Contest(b, (a,) + shared_t))
-    bottom = p_n(Contest(a, (b,) + shared_t))
-    return top / bottom

@@ -6,8 +6,7 @@ uniform field, zero-opponent reduction, normalization, the complement
 identity, monotonicity, permutation invariance), the five formula-based
 uniqueness properties (sum, substitution, reduction, independence from
 irrelevant alternatives, odds-ratio independence), and direct agreement
-with the canonical family.  Also provides the generic strict-utility
-(ratio-scale) evaluator.
+with the canonical family.
 """
 
 from __future__ import annotations
@@ -34,35 +33,7 @@ __all__ = [
     "counterexample_family",
     "COUNTEREXAMPLE_NAMES",
     "run_all_checks",
-    "strict_utility",
-    "strict_utility_distribution",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Strict utility (ratio scale)
-
-
-def _check_scale(weights: Mapping[str, float]) -> None:
-    if not weights:
-        raise ValueError("ratio scale needs at least one outcome")
-    for label, w in weights.items():
-        if not (float(w) > 0.0):
-            raise ValueError(f"weight for {label!r} must be positive, got {w!r}")
-
-
-def strict_utility(weights: Mapping[str, float], outcome: str) -> float:
-    """Choice probability of ``outcome`` under a ratio scale of positive weights."""
-    _check_scale(weights)
-    if outcome not in weights:
-        raise ValueError(f"unknown outcome {outcome!r}")
-    return float(weights[outcome]) / math.fsum(float(w) for w in weights.values())
-
-
-def strict_utility_distribution(weights: Mapping[str, float]) -> dict[str, float]:
-    _check_scale(weights)
-    total = math.fsum(float(w) for w in weights.values())
-    return {label: float(w) / total for label, w in weights.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +196,19 @@ class GridFamily(CandidateFamily):
 
     @classmethod
     def from_dict(cls, payload: Mapping, name: str = "grid") -> "GridFamily":
+        """Build from ``{"n": {"grids": [...], "values": [...]}, ...}``; ValueError otherwise."""
+        if not isinstance(payload, Mapping) or not all(
+            isinstance(entry, Mapping)
+            and isinstance(entry.get("grids"), list)
+            and isinstance(entry.get("values"), list)
+            for entry in payload.values()
+        ):
+            raise ValueError("expected an object of tables, each with list-valued grids and values")
         tables = {int(key): (entry["grids"], entry["values"]) for key, entry in payload.items()}
-        return cls(tables, name=name)
+        try:
+            return cls(tables, name=name)
+        except TypeError as exc:  # an axis that is not a list, a node that is not a number
+            raise ValueError(f"malformed table: {exc}") from None
 
     @classmethod
     def from_file(cls, path: str) -> "GridFamily":
@@ -262,12 +244,6 @@ class GridFamily(CandidateFamily):
             np.nan_to_num(values, copy=False, nan=0.0)
             tables[n] = ([axis] * (n + 1), values)
         return cls(tables, name=f"grid-canonical-{resolution}")
-
-    def to_dict(self) -> dict:
-        return {
-            str(n): {"grids": [list(axis) for axis, _, _ in axes], "values": values.tolist()}
-            for n, (axes, _, values) in self._tables.items()
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +297,8 @@ def _scan(name: str, spec: SampleSpec, sample_fn) -> CheckReport:
     """Drive one check over the sample grid, tracking the worst violation.
 
     ``sample_fn(rng, n)`` returns (violation, witness).  An evaluator
-    failure counts as an infinite violation with the exception recorded.
+    failure counts as an infinite violation with the exception recorded, and
+    so does a violation that is not a finite number >= 0, with its value.
     """
     rng = random.Random(f"{spec.seed}:{name}")
     worst = 0.0
@@ -337,6 +314,8 @@ def _scan(name: str, spec: SampleSpec, sample_fn) -> CheckReport:
                     name, samples, math.inf, (f"evaluator failure: {exc!r}",),
                     spec.tolerance,
                 )
+            if not 0.0 <= violation < math.inf:  # NaN, inf or negative: no evidence
+                violation, witness = math.inf, (f"violation {violation!r}", *witness)
             if violation > worst:
                 worst = violation
                 worst_input = witness

@@ -41,3 +41,24 @@ def exact_product_form(a, opponents) -> Fraction:
     num = a * prefix[-1]
     others = sum((1 - f) * prefix[j] * suffix[j + 1] for j, f in enumerate(fail))
     return num / (num + (1 - a) * others)
+
+
+def exact_distorted_difference(b, a, c_rest=(), d_rest=()) -> Fraction:
+    """The Distorted Difference Formula for P_m(b; a, d_rest), from p = P_n(a; b, c_rest).
+
+    (1 - p) / (1 + (1/(d1 d2) - 1) p) with d1 = P(b; c_rest), d2 = P(a; d_rest),
+    each 1 against an empty field.  Equal to exact_p_n(b, (a,) + d_rest).
+    """
+    p = exact_p_n(a, (b, *c_rest))
+    d1, d2 = exact_p_n(b, c_rest), exact_p_n(a, d_rest)
+    return (1 - p) / (1 + (1 / (d1 * d2) - 1) * p)
+
+
+def exact_complement_solution(opponents, c) -> Fraction:
+    """The protagonist a that solves a c = (1 - a)(1 - c) sum q(b_i).
+
+    That relation is P_n(a; opponents) = 1 - c, and it is symmetric in a and c.
+    """
+    c = Fraction(c)
+    total = sum(exact_strength(b) for b in opponents)
+    return (1 - c) * total / (c + (1 - c) * total)

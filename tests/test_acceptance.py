@@ -14,7 +14,6 @@ import pytest
 
 from multijames import Contest, cli, james_p, p_n
 from multijames.identities import (
-    distorted_difference,
     odds_from_sum,
     p_n_expanded_sum,
     p_n_partitioned,
@@ -32,6 +31,8 @@ from multijames.verify import (
     SampleSpec,
     check_conditions,
 )
+
+from _oracles import exact_distorted_difference, exact_james, exact_p_n
 
 CANONICAL_CONTESTS = (
     Contest(0.4, (1 / 3, 1 / 3)),
@@ -160,16 +161,18 @@ def test_06_equal_field_cross_probability(capsys):
                     b = rng.uniform(0.05, 0.95)
                     pn = p_n(Contest(a, (b,) * n))
                     collapsed = (1 - pn) / (1 + (m * n - 1) * pn)
-                    via_formula = distorted_difference(
+                    via_formula = exact_distorted_difference(
                         b, a, (b,) * (n - 1), (a,) * (m - 1)
                     )
                     direct = p_n(Contest(b, (a,) * m))
+                    assert via_formula == exact_p_n(b, (a,) * m)
                     assert abs(collapsed - direct) < 1e-12
-                    assert abs(via_formula - direct) < 1e-12
+                    assert abs(float(via_formula) - direct) < 1e-12
         for _ in range(100):
             a = rng.uniform(0.05, 0.95)
             b = rng.uniform(0.05, 0.95)
-            assert distorted_difference(b, a) == 1.0 - james_p(a, b)
+            assert exact_distorted_difference(b, a) == 1 - exact_james(a, b)
+            assert abs(p_n(Contest(b, (a,))) - (1.0 - james_p(a, b))) < 1e-15
 
 
 def test_07_verifier_discrimination(capsys):

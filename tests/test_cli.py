@@ -11,6 +11,7 @@ import pytest
 
 from multijames import __version__, cli
 
+from _grids import canonical_payload
 from _oracles import exact_p_n
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -350,6 +351,13 @@ class TestInferTree:
         code, _, _ = run(capsys, "infer-tree", str(tmp_path / "absent.json"))
         assert code == 4
 
+    def test_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "edges.json"
+        path.write_bytes(b'{"root": "\xff"}')
+        code, out, err = run(capsys, "infer-tree", str(path))
+        assert (code, out) == (4, "")
+        assert err.startswith("error:") and "UTF-8" in err
+
 
 class TestPropagate:
     def test_round_trip(self, capsys, tmp_path):
@@ -413,6 +421,18 @@ class TestIngest:
         assert code == 4
         assert ":3:" in err
 
+    @pytest.mark.parametrize(
+        "row",
+        [b"e1,\xff\xfe,1", b"e1," + b"x" * 200_000 + b",1"],
+        ids=["not-utf8", "field-over-csv-limit"],
+    )
+    def test_unreadable_csv_exits_parse_error(self, capsys, tmp_path, row):
+        path = tmp_path / "events.csv"
+        path.write_bytes(b"event_id,competitor,rank\n" + row + b"\n")
+        code, out, err = run(capsys, "ingest", str(path))
+        assert (code, out) == (4, "")
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_half_output_is_pinned(self, capsys):
         # Ties and a pair that meets in three events.  The expected bytes
         # were written by the game-by-game standings implementation.
@@ -460,11 +480,7 @@ class TestVerify:
         assert checks["sum-formula"]["passed"]
 
     def test_grid_family_default_tolerance(self, capsys, tmp_path):
-        from multijames.verify import GridFamily
-
-        grid = GridFamily.tabulate_canonical(resolution=41, n_max=2)
-        path = tmp_path / "grid.json"
-        path.write_text(json.dumps(grid.to_dict()))
+        path = write_json(tmp_path, "grid.json", canonical_payload(41, 2))
         code, out, _ = run(
             capsys,
             "--tol", "0.02",
@@ -507,10 +523,7 @@ class TestVerify:
              "grid-without-requested-n"],
     )
     def test_bad_sample_spec_exits_before_any_check(self, capsys, tmp_path, argv):
-        from multijames.verify import GridFamily
-
-        grid = GridFamily.tabulate_canonical(resolution=5, n_max=2)
-        path = write_json(tmp_path, "grid.json", grid.to_dict())
+        path = write_json(tmp_path, "grid.json", canonical_payload(5, 2))
         for output in ("table", "json"):
             code, out, err = run(
                 capsys, "--output", output, *(arg.format(grid=path) for arg in argv)
@@ -531,6 +544,33 @@ class TestVerify:
     def test_missing_grid_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, "verify", "--family", f"grid:{tmp_path}/none.json")
         assert code == 4
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [1, 2],
+            {"1": None},
+            {"1": {"grids": 3, "values": [0.0] * 4}},
+            {"1": {"grids": [[0.0, 1.0], 5], "values": [0.0] * 4}},
+            {"1": {"grids": [[0.0, 1.0], [0.0, 1.0]], "values": [0.0, {}, 0.0, 0.0]}},
+        ],
+        ids=["list-payload", "null-table", "integer-grids", "integer-axis", "object-value"],
+    )
+    def test_malformed_grid_file_exits_parse_error(self, capsys, tmp_path, payload):
+        path = write_json(tmp_path, "grid.json", payload)
+        code, out, err = run(capsys, "verify", "--family", f"grid:{path}")
+        assert (code, out) == (4, "")
+        assert err.startswith("error:") and "malformed grid family file" in err
+
+    def test_nan_grid_fails_every_check(self, capsys, tmp_path):
+        path = write_json(
+            tmp_path, "grid.json", {"1": {"grids": [[0, 1], [0, 1]], "values": [[0, "nan"], [1, 0]]}}
+        )
+        code, payload, _ = run_json(capsys, "verify", "--family", f"grid:{path}", "--n-max", "1")
+        assert code == 1
+        for check in payload["checks"]:
+            assert not check["passed"], check["check"]
+            assert check["worst_input"][0] == "violation nan"
 
 
 class TestVersion:

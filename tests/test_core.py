@@ -13,19 +13,22 @@ from multijames import (
     Contest,
     ContestClass,
     UndefinedContestError,
-    balanced_opposition,
     classify_contest,
     james_p,
     level_transform,
     p_n,
-    solve_protagonist_complement,
     strength,
-    strength_inv,
 )
 
 from multijames.core import _check_pct
 
-from _oracles import exact_james, exact_p_n, exact_product_form
+from _oracles import (
+    exact_complement_solution,
+    exact_james,
+    exact_p_n,
+    exact_product_form,
+    exact_strength,
+)
 
 interior = st.floats(0.01, 0.99)
 opponent_lists = st.lists(interior, min_size=1, max_size=6)
@@ -39,22 +42,21 @@ class TestStrength:
         assert strength(1.0) == math.inf
 
     def test_inverse_examples(self):
-        assert strength_inv(1.0) == 0.5
-        assert strength_inv(4.0) == pytest.approx(0.8, rel=1e-14)
-        assert strength_inv(0.0) == 0.0
-        assert strength_inv(math.inf) == 1.0
+        # An even percentage rescaled by q has strength q: it is q / (1 + q).
+        assert level_transform(0.5, 1.0) == 0.5
+        assert level_transform(0.5, 4.0) == pytest.approx(0.8, rel=1e-14)
+        assert level_transform(0.5, 0.25) == pytest.approx(0.2, rel=1e-14)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             strength(-0.1)
         with pytest.raises(ValueError):
             strength(float("nan"))
-        with pytest.raises(ValueError):
-            strength_inv(-1.0)
 
     @given(st.floats(0.0, 0.999))
     def test_round_trip(self, s):
-        assert strength_inv(strength(s)) == pytest.approx(s, rel=1e-14, abs=1e-14)
+        q = Fraction(strength(s))
+        assert float(q / (1 + q)) == pytest.approx(s, rel=1e-14, abs=1e-14)
 
 
 class TestClassify:
@@ -256,28 +258,34 @@ class TestInvolution:
 
 
 class TestSolveProtagonistComplement:
+    """a c = (1 - a)(1 - c) sum q(b_i) gives the protagonist a with P_n = 1 - c."""
+
     def test_frozen_value(self):
-        a = solve_protagonist_complement((0.5, 0.5), 0.5)
-        assert a == pytest.approx(2 / 3, rel=1e-14)
-        assert p_n(Contest(a, (0.5, 0.5))) == pytest.approx(0.5, rel=1e-12)
+        half = Fraction(1, 2)
+        a = exact_complement_solution((half, half), half)
+        assert a == Fraction(2, 3)
+        assert exact_p_n(a, (half, half)) == half
+        assert p_n(Contest(float(a), (0.5, 0.5))) == pytest.approx(0.5, rel=1e-12)
 
     def test_balanced_field_gives_complement(self):
-        assert solve_protagonist_complement((1 / 3, 1 / 3), 0.5) == pytest.approx(
-            0.5, rel=1e-12
-        )
+        third = Fraction(1, 3)
+        assert exact_complement_solution((third, third), Fraction(1, 2)) == Fraction(1, 2)
+        assert p_n(Contest(0.5, (1 / 3, 1 / 3))) == pytest.approx(0.5, rel=1e-12)
 
     @given(opponent_lists, interior)
     def test_symmetry(self, bs, c):
-        a = solve_protagonist_complement(bs, c)
-        assert solve_protagonist_complement(bs, a) == pytest.approx(c, rel=1e-9)
+        a = exact_complement_solution(bs, c)
+        assert exact_p_n(a, bs) == 1 - Fraction(c)
+        assert exact_complement_solution(bs, a) == Fraction(c)
+        assert p_n(Contest(float(a), bs)) == pytest.approx(1 - c, rel=1e-9)
 
     def test_rejects_degenerate_opponents(self):
-        with pytest.raises(ValueError):
-            solve_protagonist_complement((0.0, 0.0), 0.5)
-        with pytest.raises(ValueError):
-            solve_protagonist_complement((0.5, 1.0), 0.5)
-        with pytest.raises(ValueError):
-            solve_protagonist_complement((0.5,), 0.0)
+        # No protagonist reaches a probability 1 - c in (0, 1) against an
+        # all-zero field or a field holding a 1, and c = 0 asks for a = 1.
+        for a in (0.01, 0.5, 0.99):
+            assert p_n(Contest(a, (0.0, 0.0))) == 1.0
+            assert p_n(Contest(a, (0.5, 1.0))) == 0.0
+        assert exact_complement_solution((0.5,), 0) == 1
 
 
 class TestLevelTransform:
@@ -314,15 +322,27 @@ class TestLevelTransform:
 
 
 class TestBalancedOpposition:
+    """Against a field whose strengths sum to 1, P_n equals the protagonist's percentage."""
+
+    BALANCED = [
+        (Fraction(1, 3), Fraction(1, 3)),
+        (Fraction(1, 2),),
+        (Fraction(1, 4),) * 3,
+        (Fraction(1, 5), Fraction(1, 5), Fraction(1, 3)),
+    ]
+
     def test_examples(self):
-        assert balanced_opposition((1 / 3, 1 / 3))
-        assert balanced_opposition((0.5,))
-        assert not balanced_opposition((0.5, 0.5))
+        a = Fraction(3, 7)
+        for field in self.BALANCED:
+            assert sum(map(exact_strength, field)) == 1
+            assert exact_p_n(a, field) == a
+        assert exact_p_n(a, (Fraction(1, 2),) * 2) != a
 
     @given(interior)
     def test_balanced_field_is_fixed_point(self, a):
-        assert balanced_opposition((1 / 3, 1 / 3))
-        assert p_n(Contest(a, (1 / 3, 1 / 3))) == pytest.approx(a, rel=1e-12)
+        for field in self.BALANCED:
+            assert exact_p_n(a, field) == Fraction(a)
+            assert p_n(Contest(a, tuple(map(float, field)))) == pytest.approx(a, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -330,11 +350,10 @@ class TestBalancedOpposition:
     [
         lambda: james_p(-0.0, 0.5),
         lambda: strength(-0.0),
-        lambda: strength_inv(-0.0),
         lambda: level_transform(-0.0, 2.0),
         lambda: Contest(-0.0, (-0.0, 0.5)).opponents[0],
     ],
-    ids=["james_p", "strength", "strength_inv", "level_transform", "contest_opponent"],
+    ids=["james_p", "strength", "level_transform", "contest_opponent"],
 )
 def test_negative_zero_input_gives_positive_zero(call):
     assert math.copysign(1.0, call()) == 1.0

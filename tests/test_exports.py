@@ -1,9 +1,13 @@
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
 import multijames
 from multijames import core
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MODULES = (
     "multijames",
@@ -14,6 +18,11 @@ MODULES = (
     "multijames.tree",
     "multijames.verify",
 )
+
+# Exported for their callers though nothing here names them: the result types
+# that simulate, verify and ingest return, and the check callers run on
+# partition blocks before p_n_partitioned.
+USED_BY_CALLERS_ONLY = {"SimResult", "CheckReport", "Standings", "validate_partition"}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -28,3 +37,39 @@ def test_package_reexports_exactly_core():
     assert sorted(multijames.__all__) == sorted(core.__all__)
     for attr in multijames.__all__:
         assert getattr(multijames, attr) is getattr(core, attr)
+
+
+def _identifiers(path: Path) -> set[str]:
+    """Every name, attribute and imported name that the file's code mentions."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+@pytest.mark.parametrize("name", MODULES[1:])
+def test_every_export_is_used_outside_tests(name):
+    # A public name counts as behaviour only while the program or its
+    # benchmark uses it; the package's re-exports and tests do not count.
+    module = importlib.import_module(name)
+    own = Path(module.__file__).resolve()
+    sources = [
+        path
+        for path in (*(ROOT / "src" / "multijames").glob("*.py"), *(ROOT / "perfbench").glob("*.py"))
+        if path.resolve() != own and path.name != "__init__.py" and not path.name.startswith("test_")
+    ]
+    used = set().union(*map(_identifiers, sources))
+    unused = [
+        attr
+        for attr in module.__all__
+        if attr not in used
+        and attr not in USED_BY_CALLERS_ONLY
+        and not attr.isupper()
+        and not (isinstance(getattr(module, attr), type) and issubclass(getattr(module, attr), Exception))
+    ]
+    assert unused == []

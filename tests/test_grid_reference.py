@@ -12,6 +12,8 @@ import pytest
 
 from multijames.verify import GridFamily
 
+from _grids import canonical_payload, sample_points
+
 interpolate = pytest.importorskip("scipy.interpolate")
 import numpy as np  # noqa: E402
 
@@ -19,7 +21,7 @@ TOL = 1e-15
 
 
 def reference(payload):
-    """One clamped scipy interpolator per table of a ``to_dict`` payload."""
+    """One clamped scipy interpolator per table of a ``GridFamily.from_dict`` payload."""
     out = {}
     for key, entry in payload.items():
         axes = [np.asarray(g) for g in entry["grids"]]
@@ -33,36 +35,18 @@ def reference(payload):
     return out
 
 
-def sample_points(rng, family, n, count):
-    """In-range, out-of-range (clamped) and exact-node coordinates, mixed."""
-    axes = family.to_dict()[str(n)]["grids"]
-    points = []
-    for _ in range(count):
-        point = []
-        for axis in axes:
-            kind = rng.randrange(3)
-            if kind == 0:
-                point.append(rng.uniform(axis[0], axis[-1]))
-            elif kind == 1:
-                beyond = rng.uniform(0, axis[-1] - axis[0])
-                point.append(rng.choice([axis[0] - beyond, axis[-1] + beyond]))
-            else:
-                point.append(rng.choice(axis))
-        points.append(point)
-    return points
-
-
 def assert_matches(family, payload, rng, count):
     ref = reference(payload)
     for n in ref:
-        for point in sample_points(rng, family, n, count):
+        for point in sample_points(rng, payload[str(n)]["grids"], count):
             got = family(point[0], point[1:])
             assert abs(got - ref[n](point)) <= TOL, (n, point)
 
 
 def test_canonical_tables_match_reference():
+    # The reference interpolates the canonical values computed node by node.
     family = GridFamily.tabulate_canonical(resolution=11, n_max=3)
-    assert_matches(family, family.to_dict(), random.Random(7), 400)
+    assert_matches(family, canonical_payload(11, 3), random.Random(7), 400)
 
 
 def test_non_uniform_axes_from_dict_match_reference():
@@ -82,11 +66,10 @@ def test_non_uniform_axes_from_dict_match_reference():
 
 
 def test_round_trip_is_bit_exact():
-    family = GridFamily.tabulate_canonical(resolution=9, n_max=3)
-    payload = family.to_dict()
+    payload = canonical_payload(9, 3)
+    family = GridFamily.from_dict(payload)
     loaded = GridFamily.from_dict(json.loads(json.dumps(payload)))
-    assert loaded.to_dict() == payload
     rng = random.Random(3)
     for n in (1, 2, 3):
-        for point in sample_points(rng, family, n, 200):
+        for point in sample_points(rng, payload[str(n)]["grids"], 200):
             assert loaded(point[0], point[1:]) == family(point[0], point[1:])

@@ -8,10 +8,7 @@ from hypothesis import strategies as st
 
 from multijames import Contest, UndefinedContestError, cli, james_p, p_n, strength
 from multijames.identities import (
-    distorted_difference,
-    iia_ratio,
     odds_from_sum,
-    odds_ratio,
     p_n_expanded_sum,
     p_n_partitioned,
     p_n_product_form,
@@ -21,7 +18,20 @@ from multijames.identities import (
     validate_partition,
 )
 
-from _oracles import exact_p_n, exact_product_form, exact_strength
+from multijames.verify import (
+    CanonicalFamily,
+    SampleSpec,
+    check_uniqueness_properties,
+    counterexample_family,
+)
+
+from _oracles import (
+    exact_distorted_difference,
+    exact_james,
+    exact_p_n,
+    exact_product_form,
+    exact_strength,
+)
 
 interior = st.floats(0.01, 0.99)
 opponent_lists = st.lists(interior, min_size=1, max_size=6)
@@ -246,82 +256,125 @@ class TestExpandedSum:
         assert c1 == pytest.approx(c2, rel=1e-12)
 
 
+def uniqueness_check(family, name):
+    spec = SampleSpec(n_values=(1, 2, 3, 4), points=150, seed=12, tolerance=1e-9)
+    return next(r for r in check_uniqueness_properties(family, spec) if r.name == name)
+
+
+def win_odds(a, field):
+    p = p_n(Contest(a, field))
+    return p / (1.0 - p)
+
+
+def exact_win_odds(a, field):
+    p = exact_p_n(a, field)
+    return p / (1 - p)
+
+
 class TestDistortedDifference:
+    """P_m(b; a, d_rest) from p = P_n(a; b, c_rest): (1 - p) / (1 + (1/(d1 d2) - 1) p)."""
+
     @given(interior, interior)
     def test_empty_rests_exact_complement(self, a, b):
-        assert distorted_difference(b, a) == 1.0 - james_p(a, b)
+        exact = exact_distorted_difference(b, a)
+        assert exact == exact_p_n(b, (a,)) == 1 - exact_james(a, b)
+        assert p_n(Contest(b, (a,))) == pytest.approx(float(exact), rel=1e-15)
 
     def test_symmetric_three_player_value(self):
-        assert distorted_difference(0.5, 0.5, (0.5,), (0.5,)) == pytest.approx(
-            1 / 3, rel=1e-14
-        )
+        half = Fraction(1, 2)
+        assert exact_distorted_difference(half, half, (half,), (half,)) == Fraction(1, 3)
+        assert p_n(Contest(0.5, (0.5, 0.5))) == pytest.approx(1 / 3, rel=1e-14)
 
     @given(interior, interior, st.integers(1, 3), st.integers(1, 3))
     def test_equal_rest_specialization(self, a, b, m, n):
         # All c's equal b and all d's equal a collapses the formula to
         # (1 - Pn) / (1 + (mn - 1) Pn).
-        via_formula = distorted_difference(b, a, (b,) * (n - 1), (a,) * (m - 1))
+        via_formula = exact_distorted_difference(b, a, (b,) * (n - 1), (a,) * (m - 1))
+        assert via_formula == exact_p_n(b, (a,) * m)
         pn = p_n(Contest(a, (b,) * n))
         collapsed = (1 - pn) / (1 + (m * n - 1) * pn)
         direct = p_n(Contest(b, (a,) * m))
-        assert via_formula == pytest.approx(direct, rel=1e-12)
+        assert float(via_formula) == pytest.approx(direct, rel=1e-12)
         assert collapsed == pytest.approx(direct, rel=1e-12)
 
-    def test_rejects_boundary(self):
-        with pytest.raises(ValueError):
-            distorted_difference(0.5, 1.0)
-        with pytest.raises(ValueError):
-            distorted_difference(0.5, 0.5, (0.0,), ())
+    @given(interior, interior, opponent_lists, opponent_lists)
+    def test_general_rests(self, a, b, c_rest, d_rest):
+        via_formula = exact_distorted_difference(b, a, c_rest, d_rest)
+        assert via_formula == exact_p_n(b, (a, *d_rest))
+        assert p_n(Contest(b, (a, *d_rest))) == pytest.approx(float(via_formula), rel=1e-12)
 
 
 class TestOddsRatio:
+    """With one protagonist, the ratio of its odds of winning against two
+    fields is the ratio of their total strengths, whatever the protagonist."""
+
     def test_identical_opponents(self):
-        c = Contest(0.4, (0.3, 0.6))
-        assert odds_ratio(c, c) == pytest.approx(1.0, rel=1e-14)
+        field = (0.3, 0.6)
+        assert exact_win_odds(0.4, field) / exact_win_odds(0.4, field) == 1
+        assert win_odds(0.4, field) / win_odds(0.4, field) == 1.0
 
     def test_frozen_value(self):
         # q(0.5)/q(0.8) = 1/4, independent of the shared protagonist.
-        assert odds_ratio(Contest(0.4, (0.8,)), Contest(0.4, (0.5,))) == pytest.approx(
-            0.25, rel=1e-12
-        )
+        expected = exact_strength(0.5) / exact_strength(0.8)
+        assert exact_win_odds(0.4, (0.8,)) / exact_win_odds(0.4, (0.5,)) == expected
+        assert win_odds(0.4, (0.8,)) / win_odds(0.4, (0.5,)) == pytest.approx(0.25, rel=1e-12)
 
     def test_protagonist_invariance(self):
         bs, cs = (0.8, 0.3), (0.5, 0.6, 0.2)
-        r1 = odds_ratio(Contest(0.3, bs), Contest(0.3, cs))
-        r2 = odds_ratio(Contest(0.7, bs), Contest(0.7, cs))
-        assert r1 == pytest.approx(r2, rel=1e-12)
+        r1 = exact_win_odds(0.3, bs) / exact_win_odds(0.3, cs)
+        assert exact_win_odds(0.7, bs) / exact_win_odds(0.7, cs) == r1
+        assert win_odds(0.7, bs) / win_odds(0.7, cs) == pytest.approx(float(r1), rel=1e-12)
+        assert uniqueness_check(CanonicalFamily(), "odds-ratio-independence").passed
+        assert not uniqueness_check(
+            counterexample_family("mismatched-base"), "odds-ratio-independence"
+        ).passed
 
     def test_matches_strength_ratio(self):
         bs, cs = (0.8, 0.3), (0.5, 0.6)
         expected = math.fsum(strength(x) for x in cs) / math.fsum(strength(x) for x in bs)
-        assert odds_ratio(Contest(0.4, bs), Contest(0.4, cs)) == pytest.approx(
-            expected, rel=1e-12
-        )
+        assert win_odds(0.4, bs) / win_odds(0.4, cs) == pytest.approx(expected, rel=1e-12)
 
     def test_tiny_fields(self):
-        # Both probabilities are near 1, so 1 - p cost 1.1e-5 relative.
+        # Both probabilities are near 1, so odds formed as p / (1 - p) would
+        # cost 1.1e-5 relative; the sum formula's odds against do not.
         c1, c2 = (1e-12,), (3e-12, 1e-13)
         exact = sum(map(exact_strength, c2)) / sum(map(exact_strength, c1))
-        got = odds_ratio(Contest(0.5, c1), Contest(0.5, c2))
+        assert exact_win_odds(0.5, c1) / exact_win_odds(0.5, c2) == exact
+        got = odds_from_sum(Contest(0.5, c2)) / odds_from_sum(Contest(0.5, c1))
         assert abs(Fraction(got) - exact) <= 1e-15 * exact
 
     def test_protagonist_mismatch(self):
-        with pytest.raises(ValueError):
-            odds_ratio(Contest(0.4, (0.5,)), Contest(0.5, (0.5,)))
+        # Protagonists a1 and a2 scale the ratio by q(a1)/q(a2).
+        bs, cs = (0.5,), (0.5,)
+        ratio = exact_win_odds(0.4, bs) / exact_win_odds(0.5, cs)
+        assert ratio == exact_strength(0.4) / exact_strength(0.5) != 1
 
 
 class TestIiaRatio:
+    """P(b; a, shared) / P(a; b, shared) = q(b)/q(a), whatever the shared field."""
+
+    @staticmethod
+    def ratio(a, b, shared):
+        return p_n(Contest(b, (a, *shared))) / p_n(Contest(a, (b, *shared)))
+
     @given(interior)
     def test_equal_competitors(self, a):
-        assert iia_ratio(a, a, (0.3, 0.6)) == pytest.approx(1.0, rel=1e-12)
+        assert self.ratio(a, a, (0.3, 0.6)) == pytest.approx(1.0, rel=1e-12)
 
     def test_frozen_value(self):
-        assert iia_ratio(0.5, 0.8, (0.4, 0.6)) == pytest.approx(4.0, rel=1e-12)
+        shared = (0.4, 0.6)
+        exact = exact_p_n(0.8, (0.5, *shared)) / exact_p_n(0.5, (0.8, *shared))
+        assert exact == exact_strength(0.8) / exact_strength(0.5)
+        assert self.ratio(0.5, 0.8, shared) == pytest.approx(4.0, rel=1e-12)
+        assert uniqueness_check(CanonicalFamily(), "iia").passed
+        assert not uniqueness_check(counterexample_family("mismatched-base"), "iia").passed
 
     @given(interior, interior, st.lists(st.floats(0.01, 0.95), max_size=4))
     def test_independent_of_shared_field(self, a, b, shared):
+        exact = exact_p_n(b, (a, *shared)) / exact_p_n(a, (b, *shared))
+        assert exact == exact_strength(b) / exact_strength(a)
         base = james_p(b, a) / james_p(a, b)
-        assert iia_ratio(a, b, tuple(shared)) == pytest.approx(base, rel=1e-12)
+        assert self.ratio(a, b, tuple(shared)) == pytest.approx(base, rel=1e-12)
 
 
 class TestCrossAgreement:

@@ -1,10 +1,12 @@
 import json
 import math
 import pickle
+import random
+from fractions import Fraction
 
 import pytest
 
-from multijames import Contest, p_n, strength
+from multijames import Contest, UndefinedContestError, p_n, strength
 from multijames.verify import (
     COUNTEREXAMPLE_NAMES,
     CandidateFamily,
@@ -17,9 +19,10 @@ from multijames.verify import (
     check_uniqueness_properties,
     counterexample_family,
     run_all_checks,
-    strict_utility,
-    strict_utility_distribution,
 )
+
+from _grids import canonical_payload, sample_points
+from _oracles import exact_p_n, exact_strength
 
 SPEC = SampleSpec(n_values=(1, 2, 3, 4), points=150, seed=12, tolerance=1e-9)
 
@@ -29,32 +32,42 @@ def by_name(reports):
 
 
 class TestStrictUtility:
+    """P_n is Luce's strict-utility choice probability with weights q = s/(1 - s)."""
+
     def test_proportional_weights(self):
-        assert strict_utility({"x": 2.0, "y": 1.0, "z": 1.0}, "x") == 0.5
+        # Weights 2, 1, 1 are the percentages 2/3, 1/2, 1/2.
+        half = Fraction(1, 2)
+        assert exact_p_n(Fraction(2, 3), (half, half)) == half
+        assert p_n(Contest(2 / 3, (0.5, 0.5))) == pytest.approx(0.5, abs=1e-15)
 
     def test_single_outcome(self):
-        assert strict_utility({"only": 3.7}, "only") == 1.0
+        # Zero-strength opponents take no share of the choice.
+        assert exact_p_n(Fraction(37, 47), (0,)) == 1
+        assert p_n(Contest(3.7 / 4.7, (0.0,))) == 1.0
 
     def test_q_weights_reproduce_p_n(self):
         a, bs = 0.45, (0.3, 0.7, 0.55)
-        weights = {"A": strength(a)}
-        weights.update({f"B{i}": strength(b) for i, b in enumerate(bs)})
-        assert strict_utility(weights, "A") == pytest.approx(
-            p_n(Contest(a, bs)), rel=1e-12
-        )
+        weights = [strength(x) for x in (a, *bs)]
+        assert p_n(Contest(a, bs)) == pytest.approx(weights[0] / math.fsum(weights), rel=1e-12)
+        exact = [exact_strength(x) for x in (a, *bs)]
+        assert exact_p_n(a, bs) == exact[0] / sum(exact)
 
     def test_distribution_sums_to_one(self):
-        weights = {f"o{i}": 0.1 + (i % 97) for i in range(10_000)}
-        dist = strict_utility_distribution(weights)
-        assert math.fsum(dist.values()) == pytest.approx(1.0, abs=1e-14)
+        # Every competitor's probability of beating all the others, summed.
+        weights = [Fraction(1, 10) + (i % 97) for i in range(100)]
+        pcts = [w / (1 + w) for w in weights]
+        assert sum(exact_p_n(x, pcts[:i] + pcts[i + 1:]) for i, x in enumerate(pcts)) == 1
+        floats = [float(x) for x in pcts]
+        total = math.fsum(p_n(Contest(x, floats[:i] + floats[i + 1:])) for i, x in enumerate(floats))
+        assert total == pytest.approx(1.0, abs=1e-14)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            strict_utility({}, "x")
+            Contest(0.5, ())  # no other outcome
+        with pytest.raises(UndefinedContestError):
+            p_n(Contest(0.0, (0.0,)))  # every weight zero
         with pytest.raises(ValueError):
-            strict_utility({"x": 0.0}, "x")
-        with pytest.raises(ValueError):
-            strict_utility({"x": 1.0}, "y")
+            Contest(0.5, (-0.1,))  # a negative weight
 
 
 class TestCanonicalFamily:
@@ -136,6 +149,24 @@ class TestEvaluatorFailures:
         assert report.max_violation == math.inf
         assert "boom" in report.worst_input[0]
 
+    def test_nan_family_fails_every_check(self):
+        class AlwaysNan(CandidateFamily):
+            def __call__(self, a, opponents):
+                return math.nan
+
+        for report in run_all_checks(AlwaysNan(), SampleSpec(points=20)):
+            assert not report.passed, report.name
+            assert report.max_violation == math.inf
+            assert report.worst_input[0] == "violation nan", report.name
+
+
+def assert_same_values(got, expected, axes_by_n):
+    """Bit-equal values at seeded in-range, clamped and node points of each table."""
+    rng = random.Random(0)
+    for axes in axes_by_n.values():
+        for point in sample_points(rng, axes, 200):
+            assert got(point[0], point[1:]) == expected(point[0], point[1:]), point
+
 
 @pytest.fixture(scope="module")
 def grid():
@@ -170,17 +201,18 @@ class TestGridFamily:
         assert 0.0 <= grid(1.0, [0.5]) <= 1.0
 
     def test_round_trip_through_file(self, grid, tmp_path):
-        small = GridFamily.tabulate_canonical(resolution=11, n_max=2)
+        payload = canonical_payload(11, 2)
+        small = GridFamily.from_dict(payload)
         path = tmp_path / "grid.json"
-        path.write_text(json.dumps(small.to_dict()))
+        path.write_text(json.dumps(payload))
         loaded = GridFamily.from_file(str(path))
         assert loaded.max_n == 2
-        assert loaded(0.5, [0.5, 0.5]) == pytest.approx(small(0.5, [0.5, 0.5]), abs=1e-12)
+        assert_same_values(loaded, small, {n: t["grids"] for n, t in payload.items()})
 
     def test_pickle_round_trip(self, grid):
         loaded = pickle.loads(pickle.dumps(grid))
-        assert loaded.to_dict() == grid.to_dict()
-        assert loaded(0.3, [0.6, 0.45]) == grid(0.3, [0.6, 0.45])
+        assert loaded.max_n == grid.max_n == 2
+        assert_same_values(loaded, grid, {n: [[0.0, 1.0]] * (n + 1) for n in (1, 2)})
 
     @pytest.mark.parametrize(
         "grids, values",
@@ -200,8 +232,7 @@ class TestGridFamily:
                                          "values": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]}})
         down = GridFamily.from_dict({"1": {"grids": [[0.0, 1.0], [1.0, 0.5, 0.0]],
                                            "values": [0.3, 0.2, 0.1, 0.6, 0.5, 0.4]}})
-        assert down.to_dict() == up.to_dict()
-        assert down(0.25, [0.7]) == up(0.25, [0.7])
+        assert_same_values(down, up, {1: [[0.0, 0.5, 1.0]] * 2})
 
     def test_nan_coordinate_rejected(self, grid):
         with pytest.raises(ValueError):
