@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 from . import __version__
@@ -59,9 +60,20 @@ class ParseError(ValueError):
     pass
 
 
+def _strict(value):
+    """``value`` with each non-finite float spelled as the string "inf", "-inf" or "nan"."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else repr(value)
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
+
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(_strict(payload), indent=2, sort_keys=True, allow_nan=False))
     else:
         for key, value in payload.items():
             if isinstance(value, dict):

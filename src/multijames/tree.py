@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 __all__ = [
@@ -85,6 +86,28 @@ class CompetitionGraph:
             vertices.add(e.v)
         object.__setattr__(self, "vertices", frozenset(vertices))
 
+    @cached_property
+    def _log_odds(self) -> dict[str, dict[str, float]]:
+        """u -> v -> the log-odds that u beats v, each reversed edge the exact negation.
+
+        Built by the first walk and kept; a build that raises keeps nothing."""
+        adj: dict[str, dict[str, float]] = {v: {} for v in self.vertices}
+        for e in self.edges:
+            if e.v in adj[e.u]:
+                a, b = sorted((e.u, e.v))
+                raise DuplicateEdgeError(f"duplicate edge between {a!r} and {b!r}")
+            adj[e.u][e.v] = x = _logit(e.p_u_beats_v)
+            adj[e.v][e.u] = -x
+        if len(self.edges) >= len(self.vertices):
+            raise ExtraEdgesError(
+                f"{len(self.edges)} edges over {len(self.vertices)} vertices: a cycle exists"
+            )
+        return adj
+
+    def __getstate__(self) -> dict:
+        # Pickle the fields alone: the index is rebuilt on first use.
+        return {k: v for k, v in self.__dict__.items() if k != "_log_odds"}
+
 
 def _logit(p: float) -> float:
     """log(p / (1 - p)) for 0 < p < 1."""
@@ -97,37 +120,24 @@ def _sigmoid(x: float) -> float:
     return 1.0 / (1.0 + e) if x >= 0.0 else e / (1.0 + e)
 
 
-def _walk(
-    g: CompetitionGraph, start: str
-) -> tuple[dict[str, dict[str, float]], dict[str, str]]:
-    """Check that ``g`` is a tree and walk it breadth-first from ``start``.
+def _walk(g: CompetitionGraph, start: str, x0: float) -> dict[str, float]:
+    """Check that ``g`` is a tree and walk it breadth-first, neighbors in name order.
 
-    Returns the adjacency, which maps u -> v -> the log-odds that u beats v
-    (so each reversed edge is the exact negation), and the parent of every
-    other vertex in visiting order; neighbors are visited in sorted name order.
+    Returns each vertex's path log-odds in visiting order: ``x0`` at ``start``,
+    then its parent's value minus the log-odds that the parent beats it.
     """
-    adj: dict[str, dict[str, float]] = {v: {} for v in g.vertices}
-    for e in g.edges:
-        if e.v in adj[e.u]:
-            a, b = sorted((e.u, e.v))
-            raise DuplicateEdgeError(f"duplicate edge between {a!r} and {b!r}")
-        x = _logit(e.p_u_beats_v)
-        adj[e.u][e.v] = x
-        adj[e.v][e.u] = -x
-    if len(g.edges) >= len(g.vertices):
-        raise ExtraEdgesError(
-            f"{len(g.edges)} edges over {len(g.vertices)} vertices: a cycle exists"
-        )
-    parent: dict[str, str] = {}
+    adj = g._log_odds
+    x = {start: x0}
     order = [start]
     for node in order:
-        for nbr in sorted(adj[node]):
-            if nbr != start and nbr not in parent:
-                parent[nbr] = node
+        row, base = adj[node], x[node]
+        for nbr in sorted(row):
+            if nbr not in x:
+                x[nbr] = base - row[nbr]
                 order.append(nbr)
     if len(order) < len(g.vertices):
-        raise DisconnectedError(g.vertices - set(order), start)
-    return adj, parent
+        raise DisconnectedError(g.vertices - x.keys(), start)
+    return x
 
 
 def p_n_from_tree(g: CompetitionGraph) -> float:
@@ -137,14 +147,11 @@ def p_n_from_tree(g: CompetitionGraph) -> float:
     the ratios p(child beats parent) / p(parent beats child).  The products
     are summed as log-odds with a max-shifted log-sum-exp.
     """
-    adj, parent = _walk(g, g.root)
-    x = {g.root: 0.0}
-    for child, par in parent.items():
-        x[child] = x[par] - adj[par][child]
+    x = _walk(g, g.root, 0.0).values()
     # With the root's own term e^0 = 1 included, P = 1 / (1 + sum) = e^-L,
     # and L >= 0, so neither the sum nor the result can overflow.
-    m = max(x.values())
-    return math.exp(-(m + math.log(math.fsum(math.exp(v - m) for v in x.values()))))
+    m = max(x)
+    return math.exp(-(m + math.log(math.fsum(math.exp(v - m) for v in x))))
 
 
 def propagate_percentages(
@@ -164,14 +171,11 @@ def propagate_percentages(
     """
     if anchor not in g.vertices:
         raise GraphError(f"anchor {anchor!r} not among vertices")
-    adj, parent = _walk(g, anchor)
     pct = float(anchor_pct)
-    if not 0.0 < pct < 1.0:
+    inside = 0.0 < pct < 1.0
+    x = _walk(g, anchor, _logit(pct) if inside else 0.0)  # a graph error comes first
+    if not inside:
         raise AnchorBoundaryError("anchor percentage must lie strictly inside (0, 1)")
-    result = {anchor: _logit(pct)}
-    for child, par in parent.items():
-        result[child] = result[par] - adj[par][child]
-    for v, x in result.items():
-        result[v] = _sigmoid(x)
+    result = {v: _sigmoid(t) for v, t in x.items()}
     result[anchor] = pct  # the anchor keeps its exact input
     return result

@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 from .core import Contest, james_p, p_n, strength
+from .identities import _sum_odds
 
 __all__ = [
     "CandidateFamily",
@@ -152,6 +153,8 @@ class GridFamily(CandidateFamily):
             axes, descending = [], []
             for k, grid in enumerate(grids):
                 axis = [float(x) for x in grid]
+                if not all(map(math.isfinite, axis)):
+                    raise ValueError(f"n={n} table: axis {k} has a non-finite node")
                 if len(axis) < 2:
                     raise ValueError(f"n={n} table: axis {k} needs at least 2 points")
                 steps = list(zip(axis, axis[1:]))
@@ -293,12 +296,37 @@ class CheckReport:
         }
 
 
+class _FamilyError(Exception):
+    """A family call that raised, or returned a value outside [0, 1]; args[0] names it."""
+
+
+def _guarded(f: CandidateFamily) -> Callable[[float, Sequence[float]], float]:
+    """``f`` with every call checked, raising _FamilyError for a fault of the family's own.
+
+    A NaN passes: it makes a NaN violation, which ``_scan`` names.
+    """
+
+    def call(a: float, opponents: Sequence[float]) -> float:
+        try:
+            value = f(a, opponents)
+        except Exception as exc:
+            raise _FamilyError(f"evaluator failure: {exc!r}") from exc
+        try:
+            if 0.0 <= value <= 1.0 or value != value:
+                return value
+        except TypeError:  # not a number
+            pass
+        raise _FamilyError(f"evaluator returned {value!r}")
+
+    return call
+
+
 def _scan(name: str, spec: SampleSpec, sample_fn) -> CheckReport:
     """Drive one check over the sample grid, tracking the worst violation.
 
-    ``sample_fn(rng, n)`` returns (violation, witness).  An evaluator
-    failure counts as an infinite violation with the exception recorded, and
-    so does a violation that is not a finite number >= 0, with its value.
+    ``sample_fn(rng, n)`` returns (violation, witness).  A family fault
+    counts as an infinite violation with its cause recorded, and so does a
+    violation that is not a finite number >= 0, with its value.
     """
     rng = random.Random(f"{spec.seed}:{name}")
     worst = 0.0
@@ -309,11 +337,8 @@ def _scan(name: str, spec: SampleSpec, sample_fn) -> CheckReport:
             samples += 1
             try:
                 violation, witness = sample_fn(rng, n)
-            except Exception as exc:  # surface as a failed check, not a crash
-                return CheckReport(
-                    name, samples, math.inf, (f"evaluator failure: {exc!r}",),
-                    spec.tolerance,
-                )
+            except _FamilyError as exc:  # surface as a failed check, not a crash
+                return CheckReport(name, samples, math.inf, exc.args, spec.tolerance)
             if not 0.0 <= violation < math.inf:  # NaN, inf or negative: no evidence
                 violation, witness = math.inf, (f"violation {violation!r}", *witness)
             if violation > worst:
@@ -322,15 +347,20 @@ def _scan(name: str, spec: SampleSpec, sample_fn) -> CheckReport:
     return CheckReport(name, samples, worst, worst_input, spec.tolerance)
 
 
-def _supported(f: CandidateFamily, spec: SampleSpec) -> SampleSpec:
-    """``spec`` narrowed to the opponent counts that ``f`` supports."""
+def _supported(f: CandidateFamily, spec: SampleSpec) -> tuple[Callable, SampleSpec]:
+    """``f`` guarded, and ``spec`` narrowed to the opponent counts that ``f`` supports."""
     n_values = tuple(n for n in spec.n_values if f.max_n is None or n <= f.max_n)
-    return replace(spec, n_values=n_values)
+    return _guarded(f), replace(spec, n_values=n_values)
 
 
 def _odds(p: float) -> float:
-    """The odds-against value 1/p - 1, i.e. P(loss)/P(win)."""
-    return 1.0 / p - 1.0
+    """The odds-against value 1/p - 1, i.e. P(loss)/P(win); inf at p = 0."""
+    return 1.0 / p - 1.0 if p else math.inf
+
+
+def _div(x: float, y: float) -> float:
+    """x / y, where y = 0 gives x * inf (inf, or NaN for 0 / 0) instead of raising."""
+    return x / y if y else x * math.inf
 
 
 def _uniform(rng: random.Random, spec: SampleSpec) -> float:
@@ -339,7 +369,7 @@ def _uniform(rng: random.Random, spec: SampleSpec) -> float:
 
 def check_conditions(f: CandidateFamily, spec: SampleSpec) -> list[CheckReport]:
     """The six structural conditions, one report each."""
-    spec = _supported(f, spec)
+    f, spec = _supported(f, spec)
 
     def cond_a(rng, n):
         a = _uniform(rng, spec)
@@ -397,7 +427,7 @@ def check_conditions(f: CandidateFamily, spec: SampleSpec) -> list[CheckReport]:
 
 def check_uniqueness_properties(f: CandidateFamily, spec: SampleSpec) -> list[CheckReport]:
     """The five formula-based properties, each relating J_n to the family's own J_1."""
-    spec = _supported(f, spec)
+    f, spec = _supported(f, spec)
 
     def j1(a, b):
         return f(a, [b])
@@ -405,7 +435,7 @@ def check_uniqueness_properties(f: CandidateFamily, spec: SampleSpec) -> list[Ch
     def sum_formula(rng, n):
         a = _uniform(rng, spec)
         bs = [_uniform(rng, spec) for _ in range(n)]
-        rhs = 1.0 / (1.0 + math.fsum(_odds(j1(a, b)) for b in bs))
+        rhs = 1.0 / (1.0 + _sum_odds([_odds(j1(a, b)) for b in bs]))
         return abs(f(a, bs) - rhs), (a, *bs)
 
     def substitution(rng, n):
@@ -419,7 +449,7 @@ def check_uniqueness_properties(f: CandidateFamily, spec: SampleSpec) -> list[Ch
         a = _uniform(rng, spec)
         bs = [_uniform(rng, spec) for _ in range(n)]
         tail = f(bs[0], bs[1:]) if len(bs) > 1 else 1.0
-        rhs = 1.0 / (1.0 + _odds(j1(a, bs[0])) / tail)
+        rhs = 1.0 / (1.0 + _div(_odds(j1(a, bs[0])), tail))
         return abs(f(a, bs) - rhs), (a, *bs)
 
     def iia(rng, n):
@@ -441,7 +471,7 @@ def check_uniqueness_properties(f: CandidateFamily, spec: SampleSpec) -> list[Ch
         def ratio(a):
             pm = f(a, cs)
             pn = f(a, bs)
-            return (pm * (1.0 - pn)) / ((1.0 - pm) * pn)
+            return _div(pm * (1.0 - pn), (1.0 - pm) * pn)
 
         r1, r2 = ratio(a1), ratio(a2)
         return abs(r1 - r2) / max(1.0, abs(r1), abs(r2)), (a1, a2, *bs, *cs)
@@ -457,7 +487,7 @@ def check_uniqueness_properties(f: CandidateFamily, spec: SampleSpec) -> list[Ch
 
 def check_matches_canonical(f: CandidateFamily, spec: SampleSpec) -> CheckReport:
     """Largest pointwise gap between the family and the canonical evaluator."""
-    spec = _supported(f, spec)
+    f, spec = _supported(f, spec)
 
     def gap(rng, n):
         a = _uniform(rng, spec)

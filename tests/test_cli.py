@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -74,9 +75,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def parse_json(text):
+    """Parse CLI output as strict JSON: a bare NaN, Infinity or -Infinity fails."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def run_json(capsys, *argv):
     code, out, err = run(capsys, "--output", "json", *argv)
-    return code, (json.loads(out) if out.strip() else None), err
+    return code, (parse_json(out) if out.strip() else None), err
 
 
 def write_json(tmp_path, name, payload):
@@ -439,7 +449,9 @@ class TestIngest:
         events = str(GOLDEN / "ingest_half.csv")
         code = cli.main(["--output", "json", "ingest", events, "--ties", "half"])
         assert code == 0
-        assert capsys.readouterr().out == (GOLDEN / "ingest_half.json").read_text(encoding="utf-8")
+        out = capsys.readouterr().out
+        assert out == (GOLDEN / "ingest_half.json").read_text(encoding="utf-8")
+        parse_json(out)
 
     def test_ties_rejected_by_default(self, capsys, tmp_path):
         path = self.write_csv(tmp_path, ["e,a,1", "e,b,1", "e,c,3"])
@@ -507,7 +519,9 @@ class TestVerify:
         code = cli.main(argv)
         assert code == (0 if family == "builtin" else 1)
         golden = GOLDEN / f"verify_{family.rpartition(':')[2]}.json"
-        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+        out = capsys.readouterr().out
+        assert out == golden.read_text(encoding="utf-8")
+        parse_json(out)
 
     @pytest.mark.parametrize(
         "argv",
@@ -562,6 +576,19 @@ class TestVerify:
         assert (code, out) == (4, "")
         assert err.startswith("error:") and "malformed grid family file" in err
 
+    def test_strict_json_spells_every_non_finite_float(self):
+        payload = {"x": [math.inf, -math.inf, math.nan, 0.5], "y": {"z": (math.nan,)}, "n": 3}
+        expected = {"x": ["inf", "-inf", "nan", 0.5], "y": {"z": ["nan"]}, "n": 3}
+        assert cli._strict(payload) == expected
+
+    @pytest.mark.parametrize("node", ["inf", "-inf", "nan"])
+    def test_non_finite_grid_axis_exits_parse_error(self, capsys, tmp_path, node):
+        payload = {"1": {"grids": [[0, 1], [0, node]], "values": [0, 0, 0, 0]}}
+        path = write_json(tmp_path, "grid.json", payload)
+        code, out, err = run(capsys, "verify", "--family", f"grid:{path}")
+        assert (code, out) == (4, "")
+        assert err.startswith("error:") and "malformed grid family file" in err
+
     def test_nan_grid_fails_every_check(self, capsys, tmp_path):
         path = write_json(
             tmp_path, "grid.json", {"1": {"grids": [[0, 1], [0, 1]], "values": [[0, "nan"], [1, 0]]}}
@@ -571,6 +598,7 @@ class TestVerify:
         for check in payload["checks"]:
             assert not check["passed"], check["check"]
             assert check["worst_input"][0] == "violation nan"
+            assert check["max_violation"] == "inf"  # strict JSON: a string, not Infinity
 
 
 class TestVersion:

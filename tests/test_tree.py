@@ -1,5 +1,7 @@
 import math
+import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -17,6 +19,8 @@ from multijames.tree import (
     p_n_from_tree,
     propagate_percentages,
 )
+
+from _oracles import exact_james, exact_p_n, exact_strength
 
 FIGURE_EDGES = (
     ("A", "B1"),
@@ -262,3 +266,140 @@ class TestRoundTrip:
             recovered = propagate_percentages(g, anchor, pcts[anchor])
             for name in names:
                 assert recovered[name] == pytest.approx(pcts[name], rel=1e-12)
+
+
+def extreme_pct(rng):
+    """A percentage in [1e-6, 1 - 1e-6], drawn near 0 or 1 as often as from the middle."""
+    kind = rng.random()
+    if kind < 0.3:
+        return 10.0 ** -rng.uniform(1, 6)
+    if kind < 0.6:
+        return 1.0 - 10.0 ** -rng.uniform(1, 6)
+    return rng.uniform(0.05, 0.95)
+
+
+def random_tree(rng):
+    """A seeded tree of 2-300 vertices: shuffled names, shuffled edges, both orientations.
+
+    The shape runs from a chain (window 1) to a random recursive tree.  Each
+    edge probability is the exact log5 value of two extreme percentages,
+    rounded once to a float.
+    """
+    k = rng.randint(2, 300)
+    names = [f"v{i}" for i in range(k)]
+    rng.shuffle(names)
+    pcts = [extreme_pct(rng) for _ in range(k)]
+    window = rng.choice((1, 3, k))
+    edges = []
+    for child in range(1, k):
+        parent = rng.randrange(max(0, child - window), child)
+        u, v = (parent, child) if rng.random() < 0.5 else (child, parent)
+        edges.append(PairwiseEdge(names[u], names[v], float(exact_james(pcts[u], pcts[v]))))
+    rng.shuffle(edges)
+    return CompetitionGraph(rng.choice(names), tuple(edges))
+
+
+def exact_percentages(g, anchor, anchor_pct):
+    """The percentages the graph's float edges fix exactly, from ``anchor`` at ``anchor_pct``.
+
+    Each edge c = P(s beats t) gives q(t) = q(s) (1 - c) / c in Fraction arithmetic.
+    """
+    nbrs = {v: [] for v in g.vertices}
+    for e in g.edges:
+        c = Fraction(e.p_u_beats_v)
+        nbrs[e.u].append((e.v, (1 - c) / c))
+        nbrs[e.v].append((e.u, c / (1 - c)))
+    q = {anchor: exact_strength(anchor_pct)}
+    stack = [anchor]
+    while stack:
+        s = stack.pop()
+        for t, ratio in nbrs[s]:
+            if t not in q:
+                q[t] = q[s] * ratio
+                stack.append(t)
+    return {v: w / (1 + w) for v, w in q.items()}
+
+
+class TestRandomTreeOracle:
+    # Every path log-odds is a difference of two log-strengths, so it stays
+    # below 2 ln(1e6) < 28 whatever the depth.  Each of at most 300 path steps
+    # adds a few roundings of that size, about 2^-51 * 28 = 1.3e-14, so the
+    # relative error of P and of each recovered percentage stays below 300 times
+    # that, 4e-12.  The stated bound leaves a margin over that estimate.
+    BOUND = 1e-11
+
+    def test_path_formula_and_propagation_match_exact(self):
+        # Seed and size were fixed before the first run.
+        rng = random.Random(2024)
+        for _ in range(40):
+            g = random_tree(rng)
+            anchor = rng.choice(sorted(g.vertices))
+            anchor_pct = extreme_pct(rng)
+            exact = exact_percentages(g, anchor, anchor_pct)
+            opponents = [exact[v] for v in sorted(g.vertices - {g.root})]
+            expected = exact_p_n(exact[g.root], opponents)
+            got = p_n_from_tree(g)
+            assert abs(Fraction(got) - expected) <= self.BOUND * expected
+            recovered = propagate_percentages(g, anchor, anchor_pct)
+            assert recovered[anchor] == anchor_pct
+            assert recovered.keys() == g.vertices
+            for v, pct in exact.items():
+                assert abs(Fraction(recovered[v]) - pct) <= self.BOUND * pct, v
+
+
+class TestWalkCache:
+    """One graph indexed once and walked many times, in any order, as if fresh."""
+
+    def graph(self):
+        return random_tree(random.Random(7))
+
+    def infer(self, g):
+        return p_n_from_tree(g)
+
+    def propagate(self, g):
+        return list(propagate_percentages(g, min(g.vertices), 0.3).items())
+
+    def run_both(self, g, infer_first):
+        if infer_first:
+            value = self.infer(g)
+            return value, self.propagate(g)
+        items = self.propagate(g)
+        return self.infer(g), items
+
+    def test_call_order_does_not_change_results(self):
+        fresh = (self.infer(self.graph()), self.propagate(self.graph()))
+        g = self.graph()
+        reversed_edges = CompetitionGraph(g.root, g.edges[::-1])
+        for result in (self.run_both(g, True), self.run_both(g, False),
+                       self.run_both(self.graph(), False), self.run_both(reversed_edges, True)):
+            # Bit-identical values, in the same key order.
+            assert result == fresh
+
+    @pytest.mark.parametrize(
+        "edges, error",
+        [
+            ((("A", "B1"), ("B1", "A"), ("B1", "B2")), DuplicateEdgeError),
+            ((("A", "B1"), ("A", "B2"), ("B1", "B2")), ExtraEdgesError),
+            ((("A", "B1"), ("B2", "B3")), DisconnectedError),
+        ],
+        ids=["duplicate", "cycle", "second-component"],
+    )
+    def test_invalid_graph_raises_on_every_call(self, edges, error):
+        g = CompetitionGraph("A", tuple(PairwiseEdge(u, v, 0.5) for u, v in edges))
+        messages = []
+        for _ in range(3):
+            for check in tree_checks(g) * 2:
+                with pytest.raises(error) as excinfo:
+                    check()
+                messages.append(str(excinfo.value))
+        assert len(set(messages)) == 1
+
+    def test_walk_leaves_identity_unchanged(self):
+        g, twin = self.graph(), self.graph()
+        before = (repr(g), hash(g), pickle.dumps(g))
+        self.run_both(g, True)
+        assert g == twin and hash(g) == hash(twin)
+        assert (repr(g), hash(g), pickle.dumps(g)) == before
+        loaded = pickle.loads(pickle.dumps(g))
+        assert loaded == g
+        assert self.run_both(loaded, False) == self.run_both(twin, True)

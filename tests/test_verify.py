@@ -159,6 +159,42 @@ class TestEvaluatorFailures:
             assert report.max_violation == math.inf
             assert report.worst_input[0] == "violation nan", report.name
 
+    @pytest.mark.parametrize("value", [math.inf, -0.5, 1.5, "0.5", None])
+    def test_value_outside_unit_interval_is_named(self, value):
+        class Returns(CandidateFamily):
+            def __call__(self, a, opponents):
+                return value
+
+        for report in run_all_checks(Returns(), SampleSpec(points=20)):
+            assert report.max_violation == math.inf
+            assert report.worst_input == (f"evaluator returned {value!r}",), report.name
+
+    @pytest.mark.parametrize("value", [0.0, 1.0, 1e-308])
+    def test_check_arithmetic_is_never_blamed_on_the_evaluator(self, value):
+        # Odds 1/0 - 1, ratios x/0 and an fsum of odds near 1e308 once raised
+        # inside the checks, and were reported as evaluator failures.
+        class Constant(CandidateFamily):
+            def __call__(self, a, opponents):
+                return value
+
+        reports = by_name(run_all_checks(Constant(), SampleSpec(points=20)))
+        for report in reports.values():
+            assert "evaluator" not in str(report.worst_input), report.name
+        for name in ("sum-formula", "substitution-formula", "reduction-formula", "iia"):
+            assert reports[name].passed, name
+        assert not reports["condition-C"].passed
+
+    def test_failure_inside_family_keeps_its_witness(self):
+        class FailsAtThree(CandidateFamily):
+            def __call__(self, a, opponents):
+                if len(opponents) == 3:
+                    raise ZeroDivisionError("inside the family")
+                return p_n(Contest(a, tuple(opponents)))
+
+        report = check_matches_canonical(FailsAtThree(), SPEC)
+        assert report.max_violation == math.inf
+        assert report.worst_input == ("evaluator failure: ZeroDivisionError('inside the family')",)
+
 
 def assert_same_values(got, expected, axes_by_n):
     """Bit-equal values at seeded in-range, clamped and node points of each table."""
@@ -221,6 +257,8 @@ class TestGridFamily:
             ([[0.0, 0.0], [0.0, 1.0]], [0.0] * 4),  # repeated node
             ([[0.5], [0.0, 1.0]], [0.0] * 2),  # single point
             ([[0.0, 1.0], [0.0, 1.0]], [0.0] * 3),  # wrong value count
+            ([[0.0, 1.0], [0.0, "inf"]], [0.0] * 4),  # non-finite node
+            ([[0.0, 1.0], ["-inf", 0.0]], [0.0] * 4),  # non-finite node
         ],
     )
     def test_malformed_tables_rejected(self, grids, values):
