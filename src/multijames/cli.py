@@ -9,9 +9,9 @@ error, 4 input parse error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
+import os
 import sys
 
 from . import __version__
@@ -25,14 +25,6 @@ from .identities import (
     p_n_shifted_sum,
     p_n_substitution,
 )
-from .ingest import (
-    EventRecord,
-    MalformedRanksError,
-    TiedRanksError,
-    TiesPolicy,
-    build_standings,
-)
-from .tree import CompetitionGraph, GraphError, PairwiseEdge, p_n_from_tree, propagate_percentages
 
 EXIT_OK = 0
 EXIT_CHECKS_FAILED = 1
@@ -71,19 +63,26 @@ def _strict(value):
     return value
 
 
-def _emit(payload: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(_strict(payload), indent=2, sort_keys=True, allow_nan=False))
+def _emit(payload: dict | str, fmt: str) -> None:
+    """Write one report, or a string as it is, to stdout; a closed pipe ends it quietly."""
+    if isinstance(payload, str):
+        text = payload
+    elif fmt == "json":
+        text = json.dumps(_strict(payload), indent=2, sort_keys=True, allow_nan=False)
     else:
+        lines = []  # str of a float is its repr
         for key, value in payload.items():
             if isinstance(value, dict):
-                print(f"{key}:")
-                for k, v in value.items():
-                    print(f"  {k}: {v!r}" if isinstance(v, float) else f"  {k}: {v}")
-            elif isinstance(value, float):
-                print(f"{key}: {value!r}")
+                lines.append(f"{key}:")
+                lines.extend(f"  {k}: {v}" for k, v in value.items())
             else:
-                print(f"{key}: {value}")
+                lines.append(f"{key}: {value}")
+        text = "\n".join(lines)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # Point stdout at the null device, so that the flush at exit has nothing to fail on.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _parse_percent_list(text: str) -> tuple[float, ...]:
@@ -160,7 +159,9 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _load_graph(path: str, root_override: str | None = None) -> CompetitionGraph:
+def _load_graph(path: str, root_override: str | None = None):
+    from .tree import CompetitionGraph, PairwiseEdge
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -168,8 +169,8 @@ def _load_graph(path: str, root_override: str | None = None) -> CompetitionGraph
         raise ParseError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from None
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc})") from None
+    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8 text, or nested too deeply
+        raise ParseError(f"{path}: unreadable as UTF-8 JSON ({exc})") from None
     if not isinstance(payload, dict) or "edges" not in payload:
         raise ParseError(f"{path}: expected an object with 'root' and 'edges'")
     root = root_override or payload.get("root")
@@ -186,6 +187,8 @@ def _load_graph(path: str, root_override: str | None = None) -> CompetitionGraph
 
 
 def cmd_infer_tree(args) -> int:
+    from .tree import p_n_from_tree
+
     graph = _load_graph(args.edges_file, args.root)
     value = p_n_from_tree(graph)
     _emit(
@@ -200,6 +203,8 @@ def cmd_infer_tree(args) -> int:
 
 
 def cmd_propagate(args) -> int:
+    from .tree import propagate_percentages
+
     if "=" not in args.anchor:
         raise ParseError("--anchor expects NAME=PCT, e.g. --anchor B4=0.55")
     name, _, pct_text = args.anchor.partition("=")
@@ -216,9 +221,11 @@ def cmd_propagate(args) -> int:
     return EXIT_OK
 
 
-def _load_events(path: str) -> list[EventRecord]:
+def _read_placements(path: str) -> dict[str, list[tuple[str, int]]]:
+    """Each event's (competitor, rank) rows, events in order of first appearance."""
+    import csv
+
     placements: dict[str, list[tuple[str, int]]] = {}
-    order: list[str] = []
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
@@ -243,21 +250,19 @@ def _load_events(path: str) -> list[EventRecord]:
                     raise ParseError(
                         f"{path}:{lineno}: rank must be an integer, got {rank_text!r}"
                     ) from None
-                if event_id not in placements:
-                    placements[event_id] = []
-                    order.append(event_id)
-                placements[event_id].append((competitor, rank))
+                placements.setdefault(event_id, []).append((competitor, rank))
     except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8 text, or a field over csv's limit
         raise ParseError(f"{path}: unreadable as UTF-8 CSV ({exc})") from None
-    try:
-        return [EventRecord(eid, tuple(placements[eid])) for eid in order]
-    except MalformedRanksError as exc:
-        raise ParseError(str(exc)) from None
+    return placements
 
 
 def cmd_ingest(args) -> int:
-    events = _load_events(args.events_csv)
+    from .ingest import EventRecord, MalformedRanksError, TiedRanksError
+    from .ingest import TiesPolicy, build_standings
+
+    placements = _read_placements(args.events_csv)
     try:
+        events = [EventRecord(eid, tuple(rows)) for eid, rows in placements.items()]
         standings = build_standings(events, TiesPolicy(args.ties))
     except (TiedRanksError, MalformedRanksError) as exc:
         raise ParseError(str(exc)) from None
@@ -278,7 +283,7 @@ def _build_family(spec_text: str):
             return GridFamily.from_file(path)
         except OSError as exc:
             raise ParseError(f"cannot read {path}: {exc}") from None
-        except ValueError as exc:  # JSONDecodeError included
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError included
             raise ParseError(f"{path}: malformed grid family file ({exc})") from None
     raise ParseError(
         f"unknown family {spec_text!r}; use builtin, grid:PATH, or "
@@ -304,7 +309,7 @@ def cmd_verify(args) -> int:
     if args.output == "json":
         _emit({"family": family.name, "checks": [r.as_dict() for r in reports]}, "json")
     else:
-        print(f"family: {family.name}")
+        lines = [f"family: {family.name}"]
         for r in reports:
             status = "PASS" if r.passed else "FAIL"
             line = (
@@ -313,7 +318,8 @@ def cmd_verify(args) -> int:
             )
             if not r.passed and r.worst_input is not None:
                 line += f"  worst={r.worst_input}"
-            print(line)
+            lines.append(line)
+        _emit("\n".join(lines), args.output)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECKS_FAILED
 
 
@@ -384,10 +390,12 @@ def main(argv=None) -> int:
     except UndefinedContestError as exc:
         print(f"error: undefined contest: {exc}", file=sys.stderr)
         return EXIT_UNDEFINED
-    except GraphError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_GRAPH
     except ValueError as exc:
+        from .tree import GraphError
+
+        if isinstance(exc, GraphError):
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return EXIT_GRAPH
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNDEFINED
 

@@ -8,7 +8,6 @@ percentage ``a`` simultaneously defeats ``n`` opponents with percentages
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
@@ -25,6 +24,7 @@ __all__ = [
 
 
 _TINY = 2.0**-1022  # the smallest normal float
+_setattr = object.__setattr__  # bound once: looking it up on every field store is slow
 
 
 class UndefinedContestError(ValueError):
@@ -68,19 +68,55 @@ class ContestClass(Enum):
     REGULAR = "regular"
 
 
-@dataclass(frozen=True, init=False)
-class Contest:
+class _Value:
+    """Equality, hashing, ``repr`` and pickling by the fields that ``_fields`` names.
+
+    ``__init__`` stores the fields with ``_init``.  Any later assignment or deletion
+    raises ``dataclasses.FrozenInstanceError``, imported on that error path alone.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            _setattr(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Contest(_Value):
     """One protagonist percentage plus an ordered list of opponent percentages.
 
     Validated once, on entry: every value is stored as a float in [0, 1],
     with -0.0 as 0.0.
     """
 
-    # Not slots=True: the class that option rebuilds makes assigning any
-    # other name raise TypeError instead of FrozenInstanceError.
-    __slots__ = ("protagonist", "opponents")
-    protagonist: float
-    opponents: tuple[float, ...]
+    __slots__ = _fields = ("protagonist", "opponents")
 
     def __init__(self, protagonist: float, opponents: Iterable[float]) -> None:
         object.__setattr__(self, "protagonist", _check_pct(protagonist, "protagonist"))
@@ -88,9 +124,6 @@ class Contest:
         if not opps:
             raise ValueError("a contest needs at least one opponent")
         object.__setattr__(self, "opponents", opps)
-
-    def __reduce__(self):
-        return Contest, (self.protagonist, self.opponents)
 
     @property
     def n(self) -> int:

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
 from typing import Iterable
+
+from .core import _Value
 
 __all__ = [
     "EventRecord",
@@ -61,27 +62,19 @@ def _integral_rank(event_id: str, rank) -> int:
     raise MalformedRanksError(f"event {event_id!r}: rank {rank!r} is not an integer")
 
 
-@dataclass(frozen=True)
-class EventRecord:
-    event_id: str
-    placements: tuple[tuple[str, int], ...]
+class EventRecord(_Value):
+    __slots__ = _fields = ("event_id", "placements")
 
-    def __post_init__(self) -> None:
-        placements = tuple(
-            (str(name), _integral_rank(self.event_id, rank)) for name, rank in self.placements
-        )
+    def __init__(self, event_id: str, placements: Iterable[tuple[str, int]]) -> None:
+        placements = tuple((str(name), _integral_rank(event_id, rank)) for name, rank in placements)
         if len(placements) < 2:
-            raise MalformedRanksError(
-                f"event {self.event_id!r}: needs at least 2 competitors"
-            )
+            raise MalformedRanksError(f"event {event_id!r}: needs at least 2 competitors")
         names = [name for name, _ in placements]
         if len(set(names)) != len(names):
-            raise MalformedRanksError(
-                f"event {self.event_id!r}: repeated competitor names"
-            )
+            raise MalformedRanksError(f"event {event_id!r}: repeated competitor names")
         if any(rank < 1 for _, rank in placements):
-            raise MalformedRanksError(f"event {self.event_id!r}: ranks must be >= 1")
-        object.__setattr__(self, "placements", placements)
+            raise MalformedRanksError(f"event {event_id!r}: ranks must be >= 1")
+        self._init(event_id, placements)
 
 
 # (u's score, v's score) for one game, shared by every pair with that outcome.
@@ -128,12 +121,18 @@ def _validate_ranks(e: EventRecord, ties: TiesPolicy) -> list[int]:
     return ranks
 
 
-@dataclass
-class Standings:
-    wins: dict[str, float] = field(default_factory=dict)
-    losses: dict[str, float] = field(default_factory=dict)
-    pairwise: dict[tuple[str, str], tuple[float, float]] = field(default_factory=dict)
-    ties_policy: TiesPolicy = TiesPolicy.REJECT
+class Standings(_Value):
+    __slots__ = _fields = ("wins", "losses", "pairwise", "ties_policy")
+    __hash__ = None  # mutable, unlike the other value classes
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(self, wins=None, losses=None, pairwise=None, ties_policy=TiesPolicy.REJECT):
+        # None: a fresh dict.
+        self.wins = {} if wins is None else wins
+        self.losses = {} if losses is None else losses
+        self.pairwise = {} if pairwise is None else pairwise
+        self.ties_policy = ties_policy
 
     def competitors(self) -> list[str]:
         return sorted(self.wins)

@@ -24,10 +24,9 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .core import Contest, ContestClass, UndefinedContestError, classify_contest
+from .core import Contest, ContestClass, UndefinedContestError, _Value, classify_contest
 
 __all__ = [
     "MAX_ROUNDS",
@@ -56,31 +55,31 @@ class AllTrialsAbandonedError(RuntimeError):
     """The round cap left fewer than MIN_RESOLVED_TRIALS trials with a winner."""
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    trials: int
-    max_rounds_per_trial: int = 10_000
-    seed: int = 0
+class SimConfig(_Value):
+    __slots__ = _fields = ("trials", "max_rounds_per_trial", "seed")
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.trials <= MAX_TRIALS:
-            raise ValueError(f"trials must lie in [1, 2**52], got {self.trials}")
-        if not 1 <= self.max_rounds_per_trial <= MAX_ROUNDS:
+    def __init__(self, trials: int, max_rounds_per_trial: int = 10_000, seed: int = 0) -> None:
+        if not 1 <= trials <= MAX_TRIALS:
+            raise ValueError(f"trials must lie in [1, 2**52], got {trials}")
+        if not 1 <= max_rounds_per_trial <= MAX_ROUNDS:
             raise ValueError(
-                f"max_rounds_per_trial must lie in [1, 2**53], got {self.max_rounds_per_trial}"
+                f"max_rounds_per_trial must lie in [1, 2**53], got {max_rounds_per_trial}"
             )
         # random.Random(-s) would silently give the stream of Random(s).
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        self._init(trials, max_rounds_per_trial, seed)
 
 
-@dataclass(frozen=True)
-class SimResult:
-    win_probability_estimate: float
-    standard_error: float
-    trials_completed: int
-    trials_abandoned: int
-    per_competitor_wins: dict[int, int] = field(default_factory=dict)
+class SimResult(_Value):
+    __slots__ = _fields = ("win_probability_estimate", "standard_error", "trials_completed",
+                           "trials_abandoned", "per_competitor_wins")
+
+    def __init__(self, win_probability_estimate: float, standard_error: float,
+                 trials_completed: int, trials_abandoned: int,
+                 per_competitor_wins: dict[int, int] | None = None) -> None:
+        self._init(win_probability_estimate, standard_error, trials_completed, trials_abandoned,
+                   {} if per_competitor_wins is None else per_competitor_wins)  # None: a fresh dict
 
     @property
     def trials(self) -> int:

@@ -9,9 +9,10 @@ Given one anchor percentage the whole tree of winning percentages follows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
+
+from .core import _Value
 
 __all__ = [
     "AnchorBoundaryError",
@@ -51,40 +52,39 @@ class AnchorBoundaryError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PairwiseEdge:
-    u: str
-    v: str
-    p_u_beats_v: float
+class PairwiseEdge(_Value):
+    __slots__ = _fields = ("u", "v", "p_u_beats_v")
 
-    def __post_init__(self) -> None:
-        if not self.u or not self.v:
+    def __init__(self, u: str, v: str, p_u_beats_v: float) -> None:
+        if not u or not v:
             raise GraphError("edge endpoints must be nonempty names")
-        if self.u == self.v:
-            raise SelfLoopError(f"self-loop at {self.u!r}")
-        p = float(self.p_u_beats_v)
+        if u == v:
+            raise SelfLoopError(f"self-loop at {u!r}")
+        p = float(p_u_beats_v)
         if math.isnan(p) or p <= 0.0 or p >= 1.0:
             raise GraphError(
-                f"edge probability must lie strictly inside (0, 1), got {self.p_u_beats_v!r}"
+                f"edge probability must lie strictly inside (0, 1), got {p_u_beats_v!r}"
             )
-        object.__setattr__(self, "p_u_beats_v", p)
+        self._init(u, v, p)
 
 
-@dataclass(frozen=True)
-class CompetitionGraph:
+class CompetitionGraph(_Value):
     """The known match-ups; ``vertices`` is the root plus every edge endpoint."""
 
-    root: str
-    edges: tuple[PairwiseEdge, ...]
-    vertices: frozenset[str] = field(init=False)
+    # No __slots__: the cached index lives in the instance dict.
+    _fields = ("root", "edges", "vertices")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", tuple(self.edges))
-        vertices = {self.root}
-        for e in self.edges:
+    def __init__(self, root: str, edges: Iterable[PairwiseEdge]) -> None:
+        edges = tuple(edges)
+        vertices = {root}
+        for e in edges:
             vertices.add(e.u)
             vertices.add(e.v)
-        object.__setattr__(self, "vertices", frozenset(vertices))
+        self._init(root, edges, frozenset(vertices))
+
+    def __reduce__(self):
+        # The fields alone: the index is rebuilt on first use.
+        return CompetitionGraph, (self.root, self.edges)
 
     @cached_property
     def _log_odds(self) -> dict[str, dict[str, float]]:
@@ -103,10 +103,6 @@ class CompetitionGraph:
                 f"{len(self.edges)} edges over {len(self.vertices)} vertices: a cycle exists"
             )
         return adj
-
-    def __getstate__(self) -> dict:
-        # Pickle the fields alone: the index is rebuilt on first use.
-        return {k: v for k, v in self.__dict__.items() if k != "_log_odds"}
 
 
 def _logit(p: float) -> float:

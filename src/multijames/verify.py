@@ -16,10 +16,9 @@ import math
 import random
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
-from .core import Contest, james_p, p_n, strength
+from .core import Contest, _Value, james_p, p_n, strength
 from .identities import _sum_odds
 
 __all__ = [
@@ -253,33 +252,29 @@ class GridFamily(CandidateFamily):
 # Check machinery
 
 
-@dataclass(frozen=True)
-class SampleSpec:
-    n_values: tuple[int, ...] = (1, 2, 3, 4)
-    points: int = 250
-    seed: int = 0
-    tolerance: float = 1e-9
-    low: float = 0.05
-    high: float = 0.95
+class SampleSpec(_Value):
+    __slots__ = _fields = ("n_values", "points", "seed", "tolerance", "low", "high")
 
-    def __post_init__(self) -> None:
-        if self.points < 1:
-            raise ValueError(f"samples per opponent count must be at least 1, got {self.points}")
-        if not self.n_values or min(self.n_values) < 1:
+    def __init__(self, n_values: tuple[int, ...] = (1, 2, 3, 4), points: int = 250,
+                 seed: int = 0, tolerance: float = 1e-9, low: float = 0.05,
+                 high: float = 0.95) -> None:
+        if points < 1:
+            raise ValueError(f"samples per opponent count must be at least 1, got {points}")
+        if not n_values or min(n_values) < 1:
             raise ValueError(
-                f"opponent counts must be a nonempty list of n >= 1, got {list(self.n_values)}"
+                f"opponent counts must be a nonempty list of n >= 1, got {list(n_values)}"
             )
-        if not 0.0 <= self.tolerance < math.inf:
-            raise ValueError(f"tolerance must be finite and >= 0, got {self.tolerance!r}")
+        if not 0.0 <= tolerance < math.inf:
+            raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
+        self._init(n_values, points, seed, tolerance, low, high)
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    name: str
-    samples: int
-    max_violation: float
-    worst_input: tuple | None
-    tolerance: float
+class CheckReport(_Value):
+    __slots__ = _fields = ("name", "samples", "max_violation", "worst_input", "tolerance")
+
+    def __init__(self, name: str, samples: int, max_violation: float,
+                 worst_input: tuple | None, tolerance: float) -> None:
+        self._init(name, samples, max_violation, worst_input, tolerance)
 
     @property
     def passed(self) -> bool:
@@ -350,7 +345,7 @@ def _scan(name: str, spec: SampleSpec, sample_fn) -> CheckReport:
 def _supported(f: CandidateFamily, spec: SampleSpec) -> tuple[Callable, SampleSpec]:
     """``f`` guarded, and ``spec`` narrowed to the opponent counts that ``f`` supports."""
     n_values = tuple(n for n in spec.n_values if f.max_n is None or n <= f.max_n)
-    return _guarded(f), replace(spec, n_values=n_values)
+    return _guarded(f), SampleSpec(n_values, *spec._values()[1:])
 
 
 def _odds(p: float) -> float:

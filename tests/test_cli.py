@@ -5,12 +5,14 @@ import random
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from multijames import __version__, cli
+from multijames.ingest import UnbalancedScheduleWarning
 
 from _grids import canonical_payload
 from _oracles import exact_p_n
@@ -93,6 +95,30 @@ def write_json(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+EDGE_PCTS = ("0", "1", "-0.0", "5e-324", repr(2.0**-1022), repr(1.0 - 2.0**-53), "0.5")
+BAD_PCTS = ("nan", "inf", "-0.1", repr(1.0 + 2.0**-52))
+
+
+def pct(rng):
+    """A percentage as command-line text, drawn over the full domain and a little beyond."""
+    u = rng.random()
+    if u < 0.02:
+        return rng.choice(BAD_PCTS)
+    if u < 0.2:
+        return rng.choice(EDGE_PCTS)
+    if u < 0.35:
+        return repr(rng.randrange(1, 2**52) * 5e-324)
+    if u < 0.6:
+        return repr(10.0 ** -rng.uniform(0.0, 300.0))
+    if u < 0.8:
+        return repr(1.0 - 10.0 ** -rng.uniform(0.0, 16.0))
+    return repr(rng.random())
+
+
+def pct_list(rng):
+    return ",".join(pct(rng) for _ in range(rng.choice((1, 2, 3, 4, 8))))
 
 
 class TestPredict:
@@ -206,28 +232,12 @@ class TestPredict:
     def test_full_domain_exits_0_or_2(self, capsys):
         # Seed and size were fixed before the first run.
         rng = random.Random(12)
-        edges = ("0", "1", "-0.0", "5e-324", repr(2.0**-1022), repr(1.0 - 2.0**-53), "0.5")
-        bad = ("nan", "inf", "-0.1", repr(1.0 + 2.0**-52))
-
-        def pct():
-            u = rng.random()
-            if u < 0.02:
-                return rng.choice(bad)
-            if u < 0.2:
-                return rng.choice(edges)
-            if u < 0.35:
-                return repr(rng.randrange(1, 2**52) * 5e-324)
-            if u < 0.6:
-                return repr(10.0 ** -rng.uniform(0.0, 300.0))
-            if u < 0.8:
-                return repr(1.0 - 10.0 ** -rng.uniform(0.0, 16.0))
-            return repr(rng.random())
-
         codes = []
         for _ in range(1000):
-            bs = ",".join(pct() for _ in range(rng.choice((1, 2, 3, 4, 8))))
+            bs = pct_list(rng)
             # The = form keeps argparse from reading "-0.0,..." as an option.
-            argv = ["predict", f"-a={pct()}", f"-b={bs}", f"--pivot={pct()}", "--all-methods"]
+            argv = ["predict", f"-a={pct(rng)}", f"-b={bs}", f"--pivot={pct(rng)}",
+                    "--all-methods"]
             code, _, err = run(capsys, *argv)
             assert code in (0, 2), argv
             assert err == "" if code == 0 else err.startswith("error:"), argv
@@ -609,12 +619,237 @@ class TestVersion:
         assert capsys.readouterr().out.strip() == f"multijames {__version__}"
 
 
+# Malformed input files shared by infer-tree, propagate and grid verify.
+MALFORMED_FILES = {
+    "list.json": "[1, 2]",
+    "no-edges.json": '{"root": "A"}',
+    "edges-not-list.json": '{"root": "A", "edges": 5}',
+    "edge-not-object.json": '{"root": "A", "edges": ["ab"]}',
+    "edge-missing-key.json": '{"root": "A", "edges": [{"u": "A", "v": "B"}]}',
+    "p-text.json": '{"root": "A", "edges": [{"u": "A", "v": "B", "p_u_beats_v": "abc"}]}',
+    "p-object.json": '{"root": "A", "edges": [{"u": "A", "v": "B", "p_u_beats_v": {}}]}',
+    "p-null.json": '{"root": "A", "edges": [{"u": "A", "v": "B", "p_u_beats_v": null}]}',
+    "p-true.json": '{"root": "A", "edges": [{"u": "A", "v": "B", "p_u_beats_v": true}]}',
+    "no-root.json": '{"edges": []}',
+    "empty-root.json": '{"root": "", "edges": []}',
+    "null-table.json": '{"1": null}',
+    "truncated.json": '{"root": "A", "edges": [',
+    "empty.json": "",
+    "deeply-nested.json": "[" * 100_000,
+    "not-utf8.json": b'{"root": "\xff", "edges": []}',
+    "absent.json": None,
+}
+GRAPH_DEFECTS = ("cycle", "duplicate", "self-loop", "empty-name", "second-component", "lone-root")
+
+
+def write_malformed(tmp_path):
+    paths = []
+    for name, content in MALFORMED_FILES.items():
+        path = tmp_path / name
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        elif content is not None:
+            path.write_text(content)
+        paths.append(str(path))
+    return paths
+
+
+def random_tree(rng, full_domain):
+    """A tree payload, its vertex names and whether every edge probability is valid."""
+    names = [f"v{i}" for i in range(rng.randint(2, 8))]
+    edges = []
+    for child in range(1, len(names)):
+        parent = rng.randrange(child)
+        p = float(pct(rng)) if full_domain else rng.uniform(0.01, 0.99)
+        u, v = (names[parent], names[child]) if rng.random() < 0.5 else (names[child], names[parent])
+        edges.append({"u": u, "v": v, "p_u_beats_v": p})
+    valid = all(0.0 < e["p_u_beats_v"] < 1.0 for e in edges)
+    return {"root": names[0], "edges": edges}, names, valid
+
+
+def plant_defect(rng, payload, names, defect):
+    """Make the tree in ``payload`` fail one graph check, with valid edge probabilities."""
+    edges = payload["edges"]
+    if defect == "cycle":
+        if len(names) == 2:
+            edges.append(dict(edges[0]))  # two vertices close a cycle only by repeating
+        else:
+            u, v = rng.sample(names, 2)
+            while any({u, v} == {e["u"], e["v"]} for e in edges):
+                u, v = rng.sample(names, 2)
+            edges.append({"u": u, "v": v, "p_u_beats_v": 0.5})
+    elif defect == "duplicate":
+        e = rng.choice(edges)
+        edges.append({"u": e["v"], "v": e["u"], "p_u_beats_v": 0.5})
+    elif defect == "self-loop":
+        edges.append({"u": names[-1], "v": names[-1], "p_u_beats_v": 0.5})
+    elif defect == "empty-name":
+        edges.append({"u": names[-1], "v": "", "p_u_beats_v": 0.5})
+    elif defect == "second-component":
+        edges.append({"u": "x1", "v": "x2", "p_u_beats_v": 0.5})
+    else:
+        payload["root"] = "lone"
+
+
+class TestSubcommandExitCodes:
+    """Every subcommand exits 0, 2, 3 or 4, or 1 from verify, with no traceback.
+
+    In process through ``cli.main``, on full-domain percentages and on
+    malformed JSON and CSV files.  A failing exit writes one line that
+    starts with ``error:`` and no report.
+    """
+
+    SEED = 14
+    CASES_PER_SUBCOMMAND = 60  # fixed, with the seed, before the first run
+
+    def predict_case(self, rng, tmp_path, malformed):
+        argv = ["predict", f"-a={pct(rng)}", f"-b={pct_list(rng)}", f"--pivot={pct(rng)}",
+                "--method", rng.choice(list(cli.METHODS))]
+        if rng.random() < 0.2:
+            argv.append("--blocks=" + rng.choice(("1", "1|2", "1,2|3", "x", "0", "9", "1|1")))
+        return argv, {0, 2, 4}
+
+    def tree_case(self, rng, tmp_path, malformed, command):
+        if rng.random() < 0.25:
+            path = rng.choice(malformed)
+            expected = {2, 3, 4}
+            anchor = "A=0.5"
+            names = ["A"]
+        else:
+            payload, names, valid = random_tree(rng, full_domain=rng.random() < 0.3)
+            defect = rng.choice(GRAPH_DEFECTS) if rng.random() < 0.4 else None
+            if defect:
+                plant_defect(rng, payload, names, defect)
+            path = write_json(tmp_path, f"tree{rng.randrange(10**9)}.json", payload)
+            expected = {3} if defect or not valid else {0}
+            anchor = f"{rng.choice(names + ['nobody'])}={pct(rng)}"
+        if command == "infer-tree":
+            return ["infer-tree", path], expected
+        if rng.random() < 0.1:
+            anchor = anchor.partition("=")[0]  # no percentage at all
+        return ["propagate", path, f"--anchor={anchor}"], expected | {0, 2, 3, 4}
+
+    def ingest_case(self, rng, tmp_path, malformed):
+        path = tmp_path / f"events{rng.randrange(10**9)}.csv"
+        u = rng.random()
+        if u < 0.05:
+            path.write_bytes(b"event_id,competitor,rank\ne1,\xff,1\n")
+        elif u < 0.1:
+            path.write_text(rng.choice(("", "id,name,place\ne,a,1\n", "event_id,competitor\n")))
+        else:
+            lines = ["event_id,competitor,rank"]
+            for e in range(rng.randint(1, 4)):
+                field = [rng.choice("abcdef") for _ in range(rng.randint(1, 5))]
+                rank = 1
+                for i, name in enumerate(field):
+                    if i and rng.random() > 0.3:
+                        rank = i + 1  # else tied with the finisher before
+                    text = str(rank)
+                    if rng.random() < 0.05:
+                        text = rng.choice(("0", "-1", "1.5", "x", "", "99", "1" * 40))
+                    lines.append(f"e{e},{name},{text}")
+                if rng.random() < 0.05:
+                    lines.append(rng.choice(("", "e9,a", "e9,a,1,extra")))
+            path.write_text("\n".join(lines) + "\n")
+        return ["ingest", str(path), "--ties", rng.choice(("reject", "half"))], {0, 4}
+
+    def simulate_case(self, rng, tmp_path, malformed):
+        argv = [
+            "--seed", rng.choice(("0", "7", "-1")),
+            "simulate", f"-a={pct(rng)}", f"-b={pct_list(rng)}",
+            "-n", rng.choice(("0", "29", "30", "1000", str(2**52), str(2**52 + 1), "1" + "0" * 20)),
+            "--max-rounds", rng.choice(("0", "1", "3", "10000", str(2**53), str(2**53 + 1))),
+        ]
+        return argv, {0, 2}
+
+    def verify_case(self, rng, tmp_path, malformed):
+        grid = tmp_path / "grid.json"
+        if not grid.exists():
+            grid.write_text(json.dumps(canonical_payload(5, 2)))
+        family = rng.choice((
+            "builtin", "counterexample:naive-product", "counterexample:squared-odds",
+            "counterexample:mismatched-base", "counterexample:nope", "mystery", f"grid:{grid}",
+            f"grid:{rng.choice(malformed)}",
+        ))
+        tol = rng.choice(((), ("--tol", "0"), ("--tol", "0.5"), ("--tol", "nan"), ("--tol", "-1"),
+                          ("--tol", "inf")))
+        argv = [*tol, "--seed", rng.choice(("0", "3")), "verify", "--family", family,
+                "--samples", rng.choice(("0", "1", "3")), "--n-min", rng.choice("0123"),
+                "--n-max", rng.choice("124")]
+        return argv, {0, 1, 2, 4}
+
+    def test_exit_codes(self, capsys, tmp_path):
+        rng = random.Random(self.SEED)
+        malformed = write_malformed(tmp_path)
+        makers = {
+            "predict": self.predict_case,
+            "infer-tree": lambda *a: self.tree_case(*a, "infer-tree"),
+            "propagate": lambda *a: self.tree_case(*a, "propagate"),
+            "ingest": self.ingest_case,
+            "simulate": self.simulate_case,
+            "verify": self.verify_case,
+        }
+        seen = {command: set() for command in makers}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UnbalancedScheduleWarning)
+            for command, make in makers.items():
+                for _ in range(self.CASES_PER_SUBCOMMAND):
+                    argv, expected = make(rng, tmp_path, malformed)
+                    code, out, err = run(capsys, *argv)
+                    assert code in expected, (argv, err)
+                    assert code in (0, 2, 3, 4) or (code == 1 and command == "verify"), argv
+                    assert "Traceback" not in err, argv
+                    if code in (0, 1):
+                        assert err == "" and out, argv
+                    else:
+                        assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
+                        assert out == "", argv
+                    seen[command].add(code)
+        # Every subcommand both succeeded and failed; graph errors reached exit 3.
+        assert all(0 in codes and len(codes) > 1 for codes in seen.values()), seen
+        assert 3 in seen["infer-tree"] and 3 in seen["propagate"] and 1 in seen["verify"]
+
+
+def child_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
+class TestClosedPipe:
+    """A reader that leaves before the report is written costs no traceback and no exit code."""
+
+    @pytest.mark.parametrize("output", ["table", "json"])
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["predict", "-a", "0.5", "-b", "0.8,0.5"], 0),
+            (["verify", "--family", "counterexample:naive-product", "--samples", "20"], 1),
+        ],
+        ids=["predict", "verify-failing"],
+    )
+    def test_reader_gone_before_output(self, tmp_path, output, argv, code):
+        with open(tmp_path / "stderr", "w+b") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "multijames.cli", "--output", output, *argv],
+                stdout=subprocess.PIPE, stderr=err, env=child_env(),
+            )
+            # The child is still starting up, so every write it makes finds no reader.
+            proc.stdout.close()
+            assert proc.wait(timeout=120) == code
+            err.seek(0)
+            assert err.read() == b""
+
+
 # Every subcommand but grid verify must start on standard-library imports.
 # numpy is blocked, so importing it fails instead of only being reported.
+# The probe prints the modules loaded after importing the CLI and after each call.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 sys.modules["numpy"] = None
 from multijames import cli
+
+def loaded():
+    return sorted(name for name, module in sys.modules.items() if module is not None)
 
 edges, events = sys.argv[1:]
 calls = [
@@ -626,27 +861,61 @@ calls = [
     ["simulate", "-a", "0.5", "-b", "0.8,0.5", "-n", "1000"],
     ["verify", "--family", "builtin", "--samples", "5", "--n-max", "2"],
 ]
+codes, snapshots = [], [loaded()]
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [cli.main(argv) for argv in calls]
-print(json.dumps({"codes": codes, "loaded": sorted(
-    name for name in ("numpy", "scipy") if sys.modules.get(name) is not None)}))
+    for argv in calls:
+        codes.append(cli.main(argv))
+        snapshots.append(loaded())
+print(json.dumps({"codes": codes, "snapshots": snapshots}))
 """
+
+# What each call of the probe may add, among multijames modules and csv.
+_OWN_MODULES = [
+    set(),
+    set(),
+    {"multijames.tree"},
+    set(),  # propagate's module came with infer-tree
+    {"multijames.ingest", "csv"},
+    {"multijames.simulate"},
+    {"multijames.verify"},
+]
+
+
+@pytest.fixture(scope="module")
+def import_probe(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("probe")
+    edges = write_json(tmp_path, "chain.json", CHAIN_EDGES)
+    events = tmp_path / "events.csv"
+    events.write_text("event_id,competitor,rank\nrace,a,1\nrace,b,2\nrace,c,3\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, edges, str(events)],
+        capture_output=True, text=True, env=child_env(), check=True,
+    )
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0] * 7
+    return [set(snapshot) for snapshot in result["snapshots"]]
 
 
 class TestImportHygiene:
-    def test_light_subcommands_import_no_numpy_or_scipy(self, tmp_path):
-        edges = write_json(tmp_path, "chain.json", CHAIN_EDGES)
-        events = tmp_path / "events.csv"
-        events.write_text("event_id,competitor,rank\nrace,a,1\nrace,b,2\nrace,c,3\n")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
-        proc = subprocess.run(
-            [sys.executable, "-c", _IMPORT_PROBE, edges, str(events)],
-            capture_output=True, text=True, env=env, check=True,
-        )
-        result = json.loads(proc.stdout)
-        assert result["codes"] == [0] * 7
-        assert result["loaded"] == []
+    def test_light_subcommands_import_no_numpy_or_scipy(self, import_probe):
+        for snapshot in import_probe:
+            assert not snapshot & {"numpy", "scipy"}
+
+    def test_no_call_loads_dataclasses_or_inspect(self, import_probe):
+        for snapshot in import_probe:
+            assert not snapshot & {"dataclasses", "inspect"}
+
+    def test_predict_loads_no_other_subcommand(self, import_probe):
+        heavy = {"multijames.tree", "multijames.ingest", "multijames.simulate",
+                 "multijames.verify", "csv"}
+        for snapshot in import_probe[:3]:  # after the import and both predict calls
+            assert not snapshot & heavy
+
+    def test_each_subcommand_adds_only_its_own_module(self, import_probe):
+        for before, after, own in zip(import_probe, import_probe[1:], _OWN_MODULES):
+            added = {name for name in after - before
+                     if name == "csv" or name.startswith("multijames.")}
+            assert added == own
 
     def test_source_does_not_mention_scipy(self):
         sources = [p for p in SRC.rglob("*") if p.is_file() and "__pycache__" not in p.parts]

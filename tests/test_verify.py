@@ -301,3 +301,58 @@ class TestReportShape:
             "odds-ratio-independence",
             "matches-canonical",
         ]
+
+
+def _raises_at_three(a, opponents):
+    if len(opponents) == 3:
+        raise RuntimeError("no member for n = 3")
+    return p_n(Contest(a, tuple(opponents)))
+
+
+# Each planted family breaks one assumption of the uniqueness result; the
+# check named beside it is the one that assumption feeds.
+PLANTED = {
+    "nan": (lambda a, opponents: math.nan, "condition-A"),
+    "constant-half": (lambda a, opponents: 0.5, "condition-C"),
+    "one-minus-a": (lambda a, opponents: 1.0 - a, "condition-E"),
+    "p_n-plus-1e-6": (lambda a, opponents: p_n(Contest(a, tuple(opponents))) + 1e-6,
+                      "matches-canonical"),
+    "order-dependent": (
+        lambda a, opponents: p_n(Contest(a, tuple(opponents)))
+        * (1.0 + 1e-3 * (opponents[0] - opponents[-1])),
+        "condition-F",
+    ),
+    "raises-at-n3": (_raises_at_three, "matches-canonical"),
+}
+MUTATION_SPEC = SampleSpec(points=100, seed=5)
+
+
+class TestMutationTable:
+    """Every wrong family fails a named check; the canonical one passes all twelve."""
+
+    @pytest.mark.parametrize("name", PLANTED)
+    def test_planted_family_fails_its_check(self, name):
+        evaluate, check = PLANTED[name]
+
+        class Planted(CandidateFamily):
+            def __call__(self, a, opponents):
+                return evaluate(a, opponents)
+
+        reports = by_name(run_all_checks(Planted(), MUTATION_SPEC))
+        assert len(reports) == 12
+        assert not reports[check].passed
+        assert reports[check].worst_input is not None
+
+    def test_raising_family_names_its_failure(self):
+        class Planted(CandidateFamily):
+            def __call__(self, a, opponents):
+                return _raises_at_three(a, opponents)
+
+        report = check_matches_canonical(Planted(), MUTATION_SPEC)
+        assert report.samples == 201  # n = 1 and 2 pass, the first n = 3 sample raises
+        assert report.worst_input == ("evaluator failure: RuntimeError('no member for n = 3')",)
+
+    def test_canonical_family_passes_every_check(self):
+        reports = run_all_checks(CanonicalFamily(), MUTATION_SPEC)
+        assert [r.name for r in reports if not r.passed] == []
+        assert len(reports) == 12
