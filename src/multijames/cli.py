@@ -176,14 +176,13 @@ def _load_graph(path: str, root_override: str | None = None):
     root = root_override or payload.get("root")
     if not root:
         raise ParseError(f"{path}: no root given (file key 'root' or --root)")
+    # Every entry is parsed before any edge is built: PairwiseEdge's GraphError
+    # is a ValueError too, and must keep its own exit code.
     try:
-        edges = tuple(
-            PairwiseEdge(str(e["u"]), str(e["v"]), float(e["p_u_beats_v"]))
-            for e in payload["edges"]
-        )
-    except (KeyError, TypeError) as exc:
+        entries = [(str(e["u"]), str(e["v"]), float(e["p_u_beats_v"])) for e in payload["edges"]]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: malformed edge entry ({exc})") from None
-    return CompetitionGraph(root=str(root), edges=edges)
+    return CompetitionGraph(root=str(root), edges=(PairwiseEdge(*e) for e in entries))
 
 
 def cmd_infer_tree(args) -> int:

@@ -135,15 +135,20 @@ class GridFamily(CandidateFamily):
     grid range.  Accuracy is interpolation-limited, so checks against grid
     families should use a loosened tolerance (1e-3 by default in the CLI).
 
-    Each table is kept flat in C order.  A call sums value x weight over the
-    2^(n+1) corners of the enclosing cell, first axis slowest, each weight the
-    left-to-right product of the per-axis factors 1 - t or t.
+    ``tables`` maps n to ``(axes, values)``: n + 1 strictly monotonic axes,
+    and the values in C order over them, as JSON lists (nested or flat, each
+    value anything ``float`` takes, so "nan" loads) or as a flat
+    ``array("d")``, which the family keeps as it is.  Building runs on the
+    standard library; only ``tabulate_canonical`` imports numpy.
+
+    Each table is kept flat in C order, every axis ascending.  A call sums
+    value x weight over the 2^(n+1) corners of the enclosing cell, first
+    axis slowest, each weight the left-to-right product of the per-axis
+    factors 1 - t or t.
     """
 
-    def __init__(self, tables: Mapping[int, tuple[Sequence[Sequence[float]], Sequence]],
+    def __init__(self, tables: Mapping[int, tuple[Sequence[Sequence[float]], list | array]],
                  name: str = "grid"):
-        import numpy as np
-
         self.name = name
         self._tables: dict[int, tuple[tuple, tuple[int, ...], array]] = {}
         for n, (grids, values) in tables.items():
@@ -164,13 +169,26 @@ class GridFamily(CandidateFamily):
                     raise ValueError(f"n={n} table: axis {k} must be strictly monotonic")
                 axes.append(tuple(axis))
             shape = [len(axis) for axis in axes]
-            table = np.flip(np.asarray(values, dtype=float).reshape(shape), descending)
             strides = [math.prod(shape[k + 1:]) for k in range(len(shape))]
+            flat = values
+            if not isinstance(flat, array):
+                while any(isinstance(v, (list, tuple)) for v in flat):
+                    if not all(isinstance(v, (list, tuple)) and len(v) == len(flat[0]) for v in flat):
+                        raise ValueError(f"n={n} table: values are not rectangular")
+                    flat = [x for v in flat for x in v]
+                flat = array("d", map(float, flat))
+            if len(flat) != math.prod(shape):
+                raise ValueError(f"n={n} table: {len(flat)} values for {math.prod(shape)} nodes")
+            for k in descending:  # reverse the order of axis k's slabs within each block
+                slab, block = strides[k], strides[k] * shape[k]
+                ascending = array("d")
+                for start in range(0, len(flat), block):
+                    for i in range(start + block - slab, start - 1, -slab):
+                        ascending += flat[i:i + slab]
+                flat = ascending
             offsets = [0]
             for s in strides:
                 offsets = [o + step for o in offsets for step in (0, s)]
-            flat = array("d")
-            flat.frombytes(memoryview(np.ascontiguousarray(table)).cast("B"))
             self._tables[n] = (
                 tuple(zip(axes, strides, [size - 1 for size in shape])), tuple(offsets), flat
             )
@@ -209,7 +227,7 @@ class GridFamily(CandidateFamily):
         tables = {int(key): (entry["grids"], entry["values"]) for key, entry in payload.items()}
         try:
             return cls(tables, name=name)
-        except TypeError as exc:  # an axis that is not a list, a node that is not a number
+        except (TypeError, OverflowError) as exc:  # not a list or a number; an int past float
             raise ValueError(f"malformed table: {exc}") from None
 
     @classmethod
@@ -224,27 +242,32 @@ class GridFamily(CandidateFamily):
 
         Grid nodes where the probability is undefined (all-zero corner,
         multiple percentages at 1) are stored as 0; interior sampling never
-        interpolates across them alone.
+        interpolates across them alone.  Each table is written in place into
+        the flat array the family keeps: the odds sum, plus 1, inverted.
         """
         import numpy as np
 
         axis = np.linspace(0.0, 1.0, resolution)
+        a, b = axis[:, None], axis[None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            odds = b * (1.0 - a) / (a * (1.0 - b))  # opponent b's term of the odds sum
+        # An opponent at 1 forces a loss when a < 1; with a = 1 too, the contest
+        # is undefined and stored as 0.  An infinite term gives 0 for both.
+        odds[:, axis == 1.0] = np.inf
         tables = {}
         for n in range(1, n_max + 1):
-            coords = np.meshgrid(*([axis] * (n + 1)), indexing="ij", sparse=True)
-            a, bs = coords[0], coords[1:]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio_sum = sum(b * (1.0 - a) / (a * (1.0 - b)) for b in bs)
-                values = 1.0 / (1.0 + ratio_sum)
-            values = np.where(a == 0.0, 0.0, values)
-            ones = (a == 1.0).astype(int) + sum((b == 1.0).astype(int) for b in bs)
-            # Exactly one percentage at 1 forces the outcome; two or more is
-            # undefined and stored as 0 by convention (never sampled interior).
-            values = np.where((a == 1.0) & (ones == 1), 1.0, values)
-            values = np.where((ones >= 1) & (a < 1.0), 0.0, values)
-            values = np.where(ones >= 2, 0.0, values)
-            np.nan_to_num(values, copy=False, nan=0.0)
-            tables[n] = ([axis] * (n + 1), values)
+            shape = (resolution,) * (n + 1)
+            terms = [odds.reshape((resolution,) + (1,) * (k - 1) + (resolution,) + (1,) * (n - k))
+                     for k in range(1, n + 1)]
+            table = array("d", [0.0]) * resolution ** (n + 1)
+            view = np.frombuffer(table).reshape(shape)
+            # Python's sum is the left fold 0 + t_1 + ... + t_(n-1), over a table
+            # 1/resolution the size of the full one.
+            np.add(sum(terms[:-1]), terms[-1], out=view)
+            view += 1.0
+            np.divide(1.0, view, out=view)
+            view[axis == 0.0] = 0.0  # a = 0 loses, or is undefined against a zero field
+            tables[n] = ([axis.tolist()] * (n + 1), table)
         return cls(tables, name=f"grid-canonical-{resolution}")
 
 

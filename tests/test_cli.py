@@ -378,6 +378,23 @@ class TestInferTree:
         assert (code, out) == (4, "")
         assert err.startswith("error:") and "UTF-8" in err
 
+    @pytest.mark.parametrize("command", [["infer-tree"], ["propagate", "--anchor", "A=0.5"]])
+    @pytest.mark.parametrize("p", ['"abc"', '""', "1" + "0" * 400], ids=["text", "empty", "huge-int"])
+    def test_unconvertible_edge_probability_exits_parse_error(self, capsys, tmp_path, command, p):
+        path = tmp_path / "edges.json"
+        path.write_text('{"root": "A", "edges": [{"u": "A", "v": "B", "p_u_beats_v": %s}]}' % p)
+        code, out, err = run(capsys, command[0], str(path), *command[1:])
+        assert (code, out) == (4, "")
+        assert err.startswith("error:") and "malformed edge entry" in err
+
+    @pytest.mark.parametrize("p", ['"1.5"', '"nan"', "1e400", "0"])
+    def test_out_of_range_edge_probability_stays_graph_error(self, capsys, tmp_path, p):
+        path = tmp_path / "edges.json"
+        path.write_text('{"root": "A", "edges": [{"u": "A", "v": "B", "p_u_beats_v": %s}]}' % p)
+        code, out, err = run(capsys, "infer-tree", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: GraphError:")
+
 
 class TestPropagate:
     def test_round_trip(self, capsys, tmp_path):
@@ -577,8 +594,12 @@ class TestVerify:
             {"1": {"grids": 3, "values": [0.0] * 4}},
             {"1": {"grids": [[0.0, 1.0], 5], "values": [0.0] * 4}},
             {"1": {"grids": [[0.0, 1.0], [0.0, 1.0]], "values": [0.0, {}, 0.0, 0.0]}},
+            {"1": {"grids": [[0.0, 1.0], [0.0, 1.0]], "values": [[0, 1, 1], [1]]}},
+            {"1": {"grids": [[0.0, 1.0], [0.0, 1.0]], "values": [0, 1, 1, 10**400]}},
+            {"1": {"grids": [[0.0, 1.0], [0.0, 10**400]], "values": [0, 1, 1, 0]}},
         ],
-        ids=["list-payload", "null-table", "integer-grids", "integer-axis", "object-value"],
+        ids=["list-payload", "null-table", "integer-grids", "integer-axis", "object-value",
+             "ragged-values", "huge-int-value", "huge-int-node"],
     )
     def test_malformed_grid_file_exits_parse_error(self, capsys, tmp_path, payload):
         path = write_json(tmp_path, "grid.json", payload)
@@ -712,7 +733,7 @@ class TestSubcommandExitCodes:
     def tree_case(self, rng, tmp_path, malformed, command):
         if rng.random() < 0.25:
             path = rng.choice(malformed)
-            expected = {2, 3, 4}
+            expected = {3, 4}  # a malformed file is a parse error; true as p is a graph error
             anchor = "A=0.5"
             names = ["A"]
         else:
@@ -840,7 +861,7 @@ class TestClosedPipe:
             assert err.read() == b""
 
 
-# Every subcommand but grid verify must start on standard-library imports.
+# Every subcommand, grid verify included, must start on standard-library imports.
 # numpy is blocked, so importing it fails instead of only being reported.
 # The probe prints the modules loaded after importing the CLI and after each call.
 _IMPORT_PROBE = """
@@ -851,7 +872,7 @@ from multijames import cli
 def loaded():
     return sorted(name for name, module in sys.modules.items() if module is not None)
 
-edges, events = sys.argv[1:]
+edges, events, grid = sys.argv[1:]
 calls = [
     ["predict", "-a", "0.5", "-b", "0.8,0.5"],
     ["predict", "-a", "0.5", "-b", "0.8,0.5", "--all-methods"],
@@ -860,6 +881,7 @@ calls = [
     ["ingest", events],
     ["simulate", "-a", "0.5", "-b", "0.8,0.5", "-n", "1000"],
     ["verify", "--family", "builtin", "--samples", "5", "--n-max", "2"],
+    ["--tol", "0.05", "verify", "--family", f"grid:{grid}", "--samples", "5", "--n-max", "2"],
 ]
 codes, snapshots = [], [loaded()]
 with contextlib.redirect_stdout(io.StringIO()):
@@ -878,6 +900,7 @@ _OWN_MODULES = [
     {"multijames.ingest", "csv"},
     {"multijames.simulate"},
     {"multijames.verify"},
+    set(),  # grid verify's module came with builtin verify
 ]
 
 
@@ -887,12 +910,13 @@ def import_probe(tmp_path_factory):
     edges = write_json(tmp_path, "chain.json", CHAIN_EDGES)
     events = tmp_path / "events.csv"
     events.write_text("event_id,competitor,rank\nrace,a,1\nrace,b,2\nrace,c,3\n")
+    grid = write_json(tmp_path, "grid.json", canonical_payload(21, 2))
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, edges, str(events)],
+        [sys.executable, "-c", _IMPORT_PROBE, edges, str(events), grid],
         capture_output=True, text=True, env=child_env(), check=True,
     )
     result = json.loads(proc.stdout)
-    assert result["codes"] == [0] * 7
+    assert result["codes"] == [0] * 8
     return [set(snapshot) for snapshot in result["snapshots"]]
 
 

@@ -2,8 +2,11 @@ import json
 import math
 import pickle
 import random
+import tracemalloc
+from array import array
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from multijames import Contest, UndefinedContestError, p_n, strength
@@ -21,7 +24,7 @@ from multijames.verify import (
     run_all_checks,
 )
 
-from _grids import canonical_payload, sample_points
+from _grids import canonical_payload, reference_tables, sample_points
 from _oracles import exact_p_n, exact_strength
 
 SPEC = SampleSpec(n_values=(1, 2, 3, 4), points=150, seed=12, tolerance=1e-9)
@@ -259,6 +262,8 @@ class TestGridFamily:
             ([[0.0, 1.0], [0.0, 1.0]], [0.0] * 3),  # wrong value count
             ([[0.0, 1.0], [0.0, "inf"]], [0.0] * 4),  # non-finite node
             ([[0.0, 1.0], ["-inf", 0.0]], [0.0] * 4),  # non-finite node
+            ([[0.0, 1.0], [0.0, 1.0]], [[0, 1, 1], [1]]),  # ragged, though 4 values in all
+            ([[0.0, 1.0], [0.0, 1.0]], [[0, 1], 1, 0]),  # a row and bare values mixed
         ],
     )
     def test_malformed_tables_rejected(self, grids, values):
@@ -275,6 +280,44 @@ class TestGridFamily:
     def test_nan_coordinate_rejected(self, grid):
         with pytest.raises(ValueError):
             grid(math.nan, [0.5])
+
+    @pytest.mark.parametrize("flipped", [(0,), (1,), (2,), (0, 2), (0, 1, 2)])
+    def test_descending_axes_match_numpy_flip(self, flipped):
+        rng = random.Random(sum(flipped))
+        grids = [[0.0, 0.5, 1.0], [0.0, 0.25, 0.5, 1.0], [0.0, 1.0]]
+        values = np.array([rng.random() for _ in range(24)]).reshape(3, 4, 2)
+        up = GridFamily({2: (grids, values.tolist())})
+        down = GridFamily({2: ([g[::-1] if k in flipped else g for k, g in enumerate(grids)],
+                               np.flip(values, flipped).ravel().tolist())})
+        assert down._tables == up._tables
+
+    def test_flat_array_is_kept_as_is(self):
+        table = array("d", [0.0, 0.25, 0.75, 1.0])
+        family = GridFamily({1: ([[0.0, 1.0], [0.0, 1.0]], table)})
+        assert family._tables[1][2] is table
+
+
+class TestTabulateCanonical:
+    """The in-place build against the multi-pass numpy build it replaced."""
+
+    @pytest.mark.parametrize("resolution, n_max", [(2, 1), (9, 3), (21, 3), (101, 2)])
+    def test_tables_are_byte_identical(self, resolution, n_max):
+        tables = GridFamily.tabulate_canonical(resolution, n_max)._tables
+        got = {n: (axes, offsets, flat.tobytes()) for n, (axes, offsets, flat) in tables.items()}
+        assert got == reference_tables(resolution, n_max)
+
+    def test_peak_memory_is_the_tables(self):
+        GridFamily.tabulate_canonical(2, 1)  # numpy imported before tracing starts
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            family = GridFamily.tabulate_canonical(41, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        table_bytes = sum(len(flat) * flat.itemsize for _, _, flat in family._tables.values())
+        assert peak - before <= 1.25 * table_bytes
 
 
 class TestReportShape:
