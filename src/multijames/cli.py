@@ -109,6 +109,8 @@ def cmd_predict(args) -> int:
     if args.all_methods:
         values = {m: f(contest, args.pivot, blocks) for m, f in METHODS.items()}
         spread = max(values.values()) - min(values.values())
+        if any(map(math.isnan, values.values())):  # which max and min skip in most orders
+            spread = math.nan
         _emit(
             {"methods": values, "max_discrepancy": spread, "n_opponents": contest.n},
             args.output,
@@ -137,11 +139,8 @@ def cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNDEFINED
     closed = p_n(contest)
-    z = (
-        (result.win_probability_estimate - closed) / result.standard_error
-        if result.standard_error > 0
-        else 0.0
-    )
+    se = result.standard_error  # 0.0 when every trial went one way: then no z-score
+    z = (result.win_probability_estimate - closed) / se if se > 0 else None
     _emit(
         {
             "estimate": result.win_probability_estimate,

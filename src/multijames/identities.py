@@ -6,19 +6,19 @@ They serve both as user-selectable computation methods and as a
 cross-agreement test battery, so none of them simply delegates its own
 arithmetic to the direct evaluator.
 
-Odds against the protagonist are formed directly from the percentages, as
-q(b)(1 - a)/a for one opponent and (1 - a) sum q(b_i)/a for a field, where
-q(b) = b/(1 - b).  No evaluator goes through a probability p and back as
-1/p - 1, which cancels as p approaches 1, and none divides by zero on an
-interior input.  The shifted and expanded sums also multiply odds between
-two opponents, q(b_j)/q(b_i); below a percentage of about 1e-290 such a
-factor can leave the float range, and their result loses its accuracy.
+Odds are formed directly from the percentages through the strength
+q(b) = b/(1 - b), never as 1/p - 1 from a probability p, which cancels as p
+approaches 1, and no evaluator divides by zero on an interior input.
+Product form, substitution and the shifted and expanded sums carry their
+odds as ``math.frexp`` mantissas and exponents, so a factor may leave the
+float range where the probability does not.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import compress
+from itertools import accumulate, compress
+from operator import mul, truediv
 from typing import Sequence
 
 from .core import (
@@ -55,6 +55,20 @@ def _sum_odds(terms: list[float]) -> float:
         return math.inf
 
 
+def _scaled_sum(mants: Sequence[float], exps: Sequence[int]) -> tuple[float, int]:
+    """Sum of terms m * 2**e, not all 0, as s * 2**top for top the largest e of a nonzero m."""
+    top = max(compress(exps, mants))
+    return math.fsum(map(math.ldexp, mants, [e - top for e in exps])), top
+
+
+def _p_from_odds(m: float, e: int) -> float:
+    """1/(1 + odds) for odds m * 2**e, where m > 0 and 1/m is finite."""
+    if e > 0:  # invert first, so that no ldexp overflows
+        inverse = math.ldexp(1.0 / m, -e)
+        return inverse / (1.0 + inverse)
+    return 1.0 / (1.0 + math.ldexp(m, e))
+
+
 def _pair_odds(a: float, b: float) -> float:
     """Odds against a in one game with b: b(1 - a) / (a(1 - b)).
 
@@ -70,7 +84,7 @@ def _field_odds(a: float, field: Sequence[float]) -> float:
 
 
 def _require_interior(value: float, name: str) -> float:
-    if value <= 0.0 or value >= 1.0:
+    if not 0.0 < value < 1.0:  # a NaN pivot too
         raise ValueError(f"{name} must lie strictly inside (0, 1), got {value!r}")
     return value
 
@@ -91,10 +105,8 @@ def p_n_product_form(c: Contest) -> float:
     percentage (0 or 1) without special casing.
 
     The products over i != j come from prefix and suffix products, so the
-    cost is O(n), and nothing divides by 1 - b_i.  Every factor and product
-    is carried as a ``math.frexp`` mantissa in [0.5, 1) and a separate
-    exponent, so 200 factors of 0.001 do not underflow; the terms are
-    rescaled by the largest exponent before one ``fsum``.
+    cost is O(n), and nothing divides by 1 - b_i; 200 factors of 0.001 do
+    not underflow.
     """
     if classify_contest(c) is ContestClass.UNDEFINED:
         raise UndefinedContestError("probability undefined for this contest")
@@ -107,8 +119,7 @@ def p_n_product_form(c: Contest) -> float:
         exps.append(e)
         m, shift = math.frexp(m * (1.0 - b))
         e += shift
-    mants.reverse()
-    exps.reverse()
+    mants, exps = mants[::-1], exps[::-1]
     # Then m, e run over the prefix products prod_{i < j} (1 - b_i).
     lose_m, lose_e = math.frexp(1.0 - c.protagonist)
     m, e = 1.0, 0
@@ -119,13 +130,9 @@ def p_n_product_form(c: Contest) -> float:
         m, shift = math.frexp(m * (1.0 - b))
         e += shift
     a_m, a_e = math.frexp(c.protagonist)
-    mants.append(a_m * m)
-    exps.append(a_e + e)
-    # A zero term's exponent means nothing; a defined contest has a nonzero term.
-    top = max(compress(exps, mants))
-    scaled = [math.ldexp(y, x - top) for x, y in zip(exps, mants)]
-    num = scaled.pop()
-    return num / (num + math.fsum(scaled))
+    num_m, num_e = a_m * m, a_e + e
+    total, top = _scaled_sum(mants + [num_m], exps + [num_e])  # defined: a term is nonzero
+    return math.ldexp(num_m, num_e - top) / total
 
 
 def odds_from_sum(c: Contest) -> float:
@@ -141,26 +148,15 @@ def p_n_substitution(c: Contest, pivot: float) -> float:
     The odds are the pivot's pairwise odds against the protagonist,
     q(pivot)(1 - a)/a, times the field's odds against the pivot,
     sum q(b_i) (1 - pivot)/pivot.  A pivot or protagonist near 0 or 1 takes
-    either factor out of the float range while their product stays in it, so
-    the six factors are multiplied as ``math.frexp`` mantissas and exponents.
+    either factor out of the float range while their product stays in it.
     """
     _interior_contest(c)
     pivot = _require_interior(float(pivot), "pivot")
     a = c.protagonist
-    m, e = 1.0, 0
-    for x in (pivot / (1.0 - pivot), 1.0 - a, _strength_sum(c.opponents), 1.0 - pivot):
-        x_m, x_e = math.frexp(x)
-        m *= x_m
-        e += x_e
-    for x in (a, pivot):
-        x_m, x_e = math.frexp(x)
-        m /= x_m
-        e -= x_e
-    # m lies in [1/16, 4), so neither ldexp below can overflow.
-    if e > 0:
-        inverse = math.ldexp(1.0 / m, -e)
-        return inverse / (1.0 + inverse)
-    return 1.0 / (1.0 + math.ldexp(m, e))
+    factors = (pivot / (1.0 - pivot), 1.0 - a, _strength_sum(c.opponents), 1.0 - pivot, a, pivot)
+    mants, exps = zip(*map(math.frexp, factors))
+    m = math.prod(mants[:4]) / mants[4] / mants[5]  # in [1/16, 4)
+    return _p_from_odds(m, sum(exps[:4]) - exps[4] - exps[5])
 
 
 def validate_partition(blocks: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...], ...]:
@@ -215,21 +211,25 @@ def p_n_reduction(c: Contest) -> float:
 
 
 def p_n_shifted_sum(c: Contest) -> float:
-    """Shifted Sum Formula: everything expressed through the first opponent."""
+    """Shifted Sum Formula: odds(a, b_1) (1 + sum over j > 1 of odds(b_1, b_j)).
+
+    Here odds(x, y) = q(y)/q(x).  For q(b_1) = m 2**k, each odds(b_1, b_j) is
+    formed as q(b_j) / (m 2**-54), neither subnormal nor infinite, and their
+    sum is scaled by 2**-(k + 54); times odds(a, b_1), the 2**k cancels.
+    """
     _interior_contest(c)
-    a = c.protagonist
-    b1 = c.opponents[0]
-    inner = 1.0 + _sum_odds([_pair_odds(b1, b) for b in c.opponents[1:]])
-    return 1.0 / (1.0 + _pair_odds(a, b1) * inner)
+    (a_m, a_e), (b1_m, _) = [math.frexp(x / (1.0 - x)) for x in (c.protagonist, c.opponents[0])]
+    unit = math.ldexp(b1_m, -54)  # so the j = 1 term, 2**(k + 54), is the exact 1
+    m, e = math.frexp(math.fsum([b / (1.0 - b) / unit for b in c.opponents]))
+    return _p_from_odds(m * b1_m / a_m, e - 54 - a_e)
 
 
 def p_n_expanded_sum(c: Contest) -> float:
-    """Expanded Sum Formula: a chain of pairwise odds, protagonist first."""
+    """Expanded Sum Formula: a chain of pairwise odds q(c_i)/q(c_{i-1}) along a, b_1, ..., b_n.
+
+    Term k multiplies the strengths' mantissa ratios in turn; their exponents telescope.
+    """
     _interior_contest(c)
-    chain = (c.protagonist,) + c.opponents
-    terms = []
-    product = 1.0
-    for prev, cur in zip(chain, chain[1:]):
-        product *= _pair_odds(prev, cur)
-        terms.append(product)
-    return 1.0 / (1.0 + _sum_odds(terms))
+    mants, exps = zip(*map(math.frexp, [x / (1.0 - x) for x in (c.protagonist, *c.opponents)]))
+    m, e = _scaled_sum(list(accumulate(map(truediv, mants[1:], mants), mul)), exps[1:])
+    return _p_from_odds(m, e - exps[0])

@@ -43,6 +43,18 @@ def exact_product_form(a, opponents) -> Fraction:
     return num / (num + (1 - a) * others)
 
 
+def exact_or_none(a, bs):
+    """exact_p_n, extended by the product form to a single percentage of 1; None if undefined."""
+    try:
+        return exact_p_n(a, bs)
+    except ZeroDivisionError:
+        pass
+    try:
+        return exact_product_form(a, bs)
+    except ZeroDivisionError:
+        return None
+
+
 def exact_distorted_difference(b, a, c_rest=(), d_rest=()) -> Fraction:
     """The Distorted Difference Formula for P_m(b; a, d_rest), from p = P_n(a; b, c_rest).
 

@@ -14,6 +14,7 @@ import pytest
 from multijames import __version__, cli
 from multijames.ingest import UnbalancedScheduleWarning
 
+from _domain import CLI_STRATA, draw
 from _grids import canonical_payload
 from _oracles import exact_p_n
 
@@ -97,24 +98,9 @@ def write_json(tmp_path, name, payload):
     return str(path)
 
 
-EDGE_PCTS = ("0", "1", "-0.0", "5e-324", repr(2.0**-1022), repr(1.0 - 2.0**-53), "0.5")
-BAD_PCTS = ("nan", "inf", "-0.1", repr(1.0 + 2.0**-52))
-
-
 def pct(rng):
     """A percentage as command-line text, drawn over the full domain and a little beyond."""
-    u = rng.random()
-    if u < 0.02:
-        return rng.choice(BAD_PCTS)
-    if u < 0.2:
-        return rng.choice(EDGE_PCTS)
-    if u < 0.35:
-        return repr(rng.randrange(1, 2**52) * 5e-324)
-    if u < 0.6:
-        return repr(10.0 ** -rng.uniform(0.0, 300.0))
-    if u < 0.8:
-        return repr(1.0 - 10.0 ** -rng.uniform(0.0, 16.0))
-    return repr(rng.random())
+    return str(draw(rng, CLI_STRATA))
 
 
 def pct_list(rng):
@@ -238,11 +224,40 @@ class TestPredict:
             # The = form keeps argparse from reading "-0.0,..." as an option.
             argv = ["predict", f"-a={pct(rng)}", f"-b={bs}", f"--pivot={pct(rng)}",
                     "--all-methods"]
-            code, _, err = run(capsys, *argv)
+            code, payload, err = run_json(capsys, *argv)
             assert code in (0, 2), argv
             assert err == "" if code == 0 else err.startswith("error:"), argv
+            # A NaN is no probability: exit 0 must come with a value from every method.
+            assert code != 0 or "nan" not in payload["methods"].values(), (argv, payload)
             codes.append(code)
         assert codes.count(0) > 200 and codes.count(2) > 200
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("-a", "0.999875491066751", "-b", "5e-324,0.9999999999999999", "--method", "shifted"),
+            ("-a", "0.999875491066751", "-b", "5e-324,0.9999999999999999", "--method", "expanded"),
+            ("-a", "0.999999999999999",
+             "-b", "1.65440408079603e-180,0.9999996976022407,5e-324,0.052173628310167586",
+             "--all-methods"),
+        ],
+    )
+    def test_opponent_odds_out_of_float_range(self, capsys, argv):
+        # q(b_j)/q(b_1) overflows here and odds(a, b_1) underflows to 0, so shifted and
+        # expanded printed "nan" with exit 0; --all-methods reported a spread of 1.1e-16.
+        code, payload, _ = run_json(capsys, "predict", *argv)
+        assert code == 0
+        exact = exact_p_n(float(argv[1]), [float(b) for b in argv[3].split(",")])
+        values = payload["methods"].values() if "methods" in payload else [payload["probability"]]
+        for value in values:
+            assert abs(Fraction(value) - exact) <= 1e-9 * exact + Fraction(2.0**-1022), payload
+
+    def test_all_methods_spread_shows_a_nan(self, capsys, monkeypatch):
+        # A NaN that is not the first value slips past max and min.
+        monkeypatch.setitem(cli.METHODS, "broken", lambda c, pivot, blocks: math.nan)
+        code, payload, _ = run_json(capsys, "predict", "-a", "0.5", "-b", "0.8,0.5", "--all-methods")
+        assert code == 0
+        assert payload["methods"]["broken"] == payload["max_discrepancy"] == "nan"
 
 
 class TestSimulate:
@@ -282,6 +297,16 @@ class TestSimulate:
         assert low == 0.0
         assert high == pytest.approx(3.8e-3, rel=0.01)
         assert high > payload["closed_form"] == pytest.approx(1.02e-4, rel=0.01)
+
+    @pytest.mark.parametrize("a, b", [("0.01", "0.99"), ("0.99", "0.01")])
+    def test_no_z_score_without_a_standard_error(self, capsys, a, b):
+        # Every trial went one way, so the plug-in standard error is 0.0; a z-score
+        # of 0.0 would claim a perfect fit the run did not earn.
+        code, payload, _ = run_json(capsys, "--seed", "1", "simulate", "-a", a, "-b", b, "-n", "1000")
+        assert code == 0
+        assert payload["standard_error"] == 0.0
+        assert payload["estimate"] in (0.0, 1.0)
+        assert payload["z_score"] is None
 
     @pytest.mark.parametrize(
         "argv",
@@ -710,6 +735,33 @@ def plant_defect(rng, payload, names, defect):
         edges.append({"u": "x1", "v": "x2", "p_u_beats_v": 0.5})
     else:
         payload["root"] = "lone"
+
+
+class TestMalformedFiles:
+    """Every file of MALFORMED_FILES, once, through each subcommand that reads a file.
+
+    Each exits with the code the README gives for it, 4 for a parse error, with
+    one ``error:`` line and no traceback or report.  The one file that parses,
+    p-true.json, holds an edge probability of 1.0 (JSON true): a graph error, 3.
+    """
+
+    ARGV = {
+        "infer-tree": lambda path: ["infer-tree", path],
+        "propagate": lambda path: ["propagate", path, "--anchor=A=0.5"],
+        "ingest": lambda path: ["ingest", path],
+        "verify": lambda path: ["verify", "--family", f"grid:{path}", "--samples", "3"],
+    }
+
+    @pytest.mark.parametrize("command", ARGV)
+    def test_documented_exit(self, capsys, tmp_path, command):
+        for path in write_malformed(tmp_path):
+            graph_error = command in ("infer-tree", "propagate") and path.endswith("p-true.json")
+            argv = self.ARGV[command](path)
+            code, out, err = run(capsys, *argv)
+            assert code == (3 if graph_error else 4), (argv, err)
+            assert out == "", argv
+            assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
+            assert "Traceback" not in err, argv
 
 
 class TestSubcommandExitCodes:

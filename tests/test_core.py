@@ -22,9 +22,11 @@ from multijames import (
 
 from multijames.core import _check_pct
 
+from _domain import CORE_STRATA, draw
 from _oracles import (
     exact_complement_solution,
     exact_james,
+    exact_or_none,
     exact_p_n,
     exact_product_form,
     exact_strength,
@@ -426,9 +428,6 @@ class TestContestValidation:
         assert c == Contest(0.5, (0.25,))
 
 
-# One ulp inside each end of [0, 1], the subnormal edges, and the ends themselves.
-EDGE_PCTS = (0.0, -0.0, 1.0, 5e-324, 2.0**-1022 - 5e-324, 2.0**-1022, 1.0 - 2.0**-53, 0.5)
-OUT_OF_DOMAIN = (math.nan, math.inf, -math.inf, -5e-324, -0.1, 1.0 + 2.0**-52)
 FULL_DOMAIN_SEED = 9
 FULL_DOMAIN_CONTESTS = 3000
 # Relative above the subnormal range, absolute inside it.  p_n is about seven
@@ -440,36 +439,9 @@ P_N_REL_BOUND = 2e-15
 P_N_ABS_BOUND = 5e-324
 
 
-def full_domain_pct(rng):
-    u = rng.random()
-    if u < 0.02:
-        return rng.choice(OUT_OF_DOMAIN)
-    if u < 0.25:
-        return rng.choice(EDGE_PCTS)
-    if u < 0.40:
-        return rng.randrange(1, 2**52) * 5e-324  # subnormal
-    if u < 0.60:
-        return 10.0 ** -rng.uniform(0.0, 300.0)
-    if u < 0.80:
-        return 1.0 - 10.0 ** -rng.uniform(0.0, 16.0)
-    return rng.random()
-
-
 def reference_contest(a, bs):
     """What Contest stored before its fast path: _check_pct, value by value."""
     return _check_pct(a, "protagonist"), tuple(_check_pct(b, "opponent") for b in bs)
-
-
-def exact_or_none(a, bs):
-    """exact_p_n, extended by the product form to a single percentage of 1; None if undefined."""
-    try:
-        return exact_p_n(a, bs)
-    except ZeroDivisionError:
-        pass
-    try:
-        return exact_product_form(a, bs)
-    except ZeroDivisionError:
-        return None
 
 
 def test_full_domain_contest_and_p_n():
@@ -477,8 +449,8 @@ def test_full_domain_contest_and_p_n():
     checked = undefined = 0
     for _ in range(FULL_DOMAIN_CONTESTS):
         n = rng.choice((1, 2, 3, 4, 8, 16))
-        a = full_domain_pct(rng)
-        bs = tuple(full_domain_pct(rng) for _ in range(n))
+        a = draw(rng, CORE_STRATA)
+        bs = tuple(draw(rng, CORE_STRATA) for _ in range(n))
         try:
             ref = reference_contest(a, bs)
         except ValueError as exc:

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from multijames import Contest, UndefinedContestError, cli, james_p, p_n, strength
@@ -25,9 +25,11 @@ from multijames.verify import (
     counterexample_family,
 )
 
+from _domain import INTERIOR_STRATA, NEAR_ENDS_STRATA, draw, full_domain
 from _oracles import (
     exact_distorted_difference,
     exact_james,
+    exact_or_none,
     exact_p_n,
     exact_product_form,
     exact_strength,
@@ -137,6 +139,11 @@ class TestSubstitution:
     def test_rejects_boundary_pivot(self):
         with pytest.raises(ValueError):
             p_n_substitution(Contest(0.5, (0.5,)), 1.0)
+
+    def test_rejects_nan_pivot(self):
+        # A NaN passed both comparisons of the range check, and came back as the probability.
+        with pytest.raises(ValueError, match="pivot must lie strictly inside"):
+            p_n_substitution(Contest(0.5, (0.5,)), math.nan)
 
     @pytest.mark.parametrize(
         "a, bs, pivot",
@@ -413,22 +420,13 @@ FUZZ_CONTESTS = 20_000
 FUZZ_REL_BOUND = 1e-9
 
 
-def near_ends_pct(rng):
-    u = rng.random()
-    if u < 0.4:
-        return 10.0 ** -rng.uniform(0.0, 15.0)
-    if u < 0.8:
-        return 1.0 - 10.0 ** -rng.uniform(0.0, 15.0)
-    return rng.uniform(0.05, 0.95)
-
-
 def test_every_method_near_both_ends():
     rng = random.Random(FUZZ_SEED)
     failures = dict.fromkeys(cli.METHODS, 0)
     for _ in range(FUZZ_CONTESTS):
         n = rng.choice((1, 2, 3, 4, 8))
-        a = near_ends_pct(rng)
-        bs = tuple(near_ends_pct(rng) for _ in range(n))
+        a = draw(rng, NEAR_ENDS_STRATA)
+        bs = tuple(draw(rng, NEAR_ENDS_STRATA) for _ in range(n))
         c = Contest(a, bs)
         # Every exact value here exceeds 1e-32, so a float holds it to 1e-16.
         exact = float(exact_p_n(a, bs))
@@ -436,3 +434,70 @@ def test_every_method_near_both_ends():
             if abs(evaluate(c, 0.5, None) - exact) > FUZZ_REL_BOUND * exact:
                 failures[method] += 1
     assert failures == dict.fromkeys(cli.METHODS, 0)
+
+
+# Every cli.METHODS evaluator returns P_n within this bound of the exact value, or
+# raises its documented ValueError; none returns a NaN.  The absolute part is one
+# step of the smallest normal, below which a probability carries no relative precision.
+METHOD_REL_BOUND = Fraction(1e-9)
+METHOD_ABS_BOUND = Fraction(2.0**-1022)
+
+
+def method_outcomes(a, bs, pivot):
+    """Each cli.METHODS evaluator's value on Contest(a, bs), or the ValueError it raised."""
+    c = Contest(a, bs)
+    outcomes = {}
+    for method, evaluate in cli.METHODS.items():
+        try:
+            outcomes[method] = evaluate(c, pivot, None)
+        except ValueError as exc:
+            outcomes[method] = exc
+    return outcomes
+
+
+def out_of_bound(value, exact):
+    return math.isnan(value) or abs(Fraction(value) - exact) > (
+        METHOD_REL_BOUND * exact + METHOD_ABS_BOUND)
+
+
+# ROADMAP item 1's sample: 4000 contests strictly inside (0, 1), down to 1e-320 and
+# up to one ulp below 1.  Seed and size were fixed before the first run.
+SAMPLE_SEED = 21
+SAMPLE_CONTESTS = 4000
+
+
+def test_every_method_on_the_interior_sample():
+    rng = random.Random(SAMPLE_SEED)
+    failures = dict.fromkeys(cli.METHODS, 0)
+    reduction_refused = 0
+    for _ in range(SAMPLE_CONTESTS):
+        n = rng.choice((1, 2, 3, 4, 8))
+        a = draw(rng, INTERIOR_STRATA)
+        bs = tuple(draw(rng, INTERIOR_STRATA) for _ in range(n))
+        exact = exact_p_n(a, bs)
+        for method, value in method_outcomes(a, bs, 0.5).items():
+            if isinstance(value, ValueError):
+                # The one documented refusal on an interior contest.
+                assert method == "reduction" and "below 2**-1022" in str(value), (method, a, bs)
+                reduction_refused += 1
+            elif out_of_bound(value, exact):
+                failures[method] += 1
+    assert failures == dict.fromkeys(cli.METHODS, 0)
+    assert reduction_refused > 0  # the sample reaches the refusal
+
+
+@settings(max_examples=400, deadline=None)
+@seed(5)
+@given(full_domain, st.lists(full_domain, min_size=1, max_size=8), full_domain)
+def test_every_method_on_the_full_domain(a, bs, pivot):
+    exact = exact_or_none(a, bs)
+    inside = 0.0 < a < 1.0 and all(0.0 < b < 1.0 for b in bs)
+    for method, value in method_outcomes(a, bs, pivot).items():
+        if not isinstance(value, ValueError):
+            assert exact is not None and not out_of_bound(value, exact), (method, value)
+        elif method in ("direct", "product"):
+            assert exact is None and isinstance(value, UndefinedContestError), (method, value)
+        elif method == "reduction":
+            assert not inside or "below 2**-1022" in str(value), value
+        else:  # the other routes need every percentage, and the pivot, inside (0, 1)
+            assert not inside or method == "substitution" and not 0.0 < pivot < 1.0, value
