@@ -460,8 +460,9 @@ def out_of_bound(value, exact):
         METHOD_REL_BOUND * exact + METHOD_ABS_BOUND)
 
 
-# ROADMAP item 1's sample: 4000 contests strictly inside (0, 1), down to 1e-320 and
-# up to one ulp below 1.  Seed and size were fixed before the first run.
+# 4000 contests strictly inside (0, 1), down to 1e-320 and up to one ulp below 1,
+# where odds between two opponents leave the float range.  Seed and size were fixed
+# before the first run.
 SAMPLE_SEED = 21
 SAMPLE_CONTESTS = 4000
 
