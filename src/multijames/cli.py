@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import __version__
-from .core import Contest, UndefinedContestError, p_n
+from .core import Contest, GraphError, UndefinedContestError, p_n
 from .identities import (
     odds_from_sum,
     p_n_expanded_sum,
@@ -158,18 +158,31 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _read_text(path: str) -> str:
+    """The file at ``path`` as UTF-8 text, line endings as they are; ParseError otherwise."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: unreadable as UTF-8 text ({exc})") from None
+
+
+def _read_json(path: str):
+    """The JSON value in the file at ``path``; ParseError when it cannot be read or parsed."""
+    try:
+        return json.loads(_read_text(path))  # a ParseError from the read passes through
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from None
+    except RecursionError as exc:  # nested deeper than the parser's recursion limit
+        raise ParseError(f"{path}: unreadable as JSON ({exc})") from None
+
+
 def _load_graph(path: str, root_override: str | None = None):
     from .tree import CompetitionGraph, PairwiseEdge
 
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from None
-    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8 text, or nested too deeply
-        raise ParseError(f"{path}: unreadable as UTF-8 JSON ({exc})") from None
+    payload = _read_json(path)
     if not isinstance(payload, dict) or "edges" not in payload:
         raise ParseError(f"{path}: expected an object with 'root' and 'edges'")
     root = root_override or payload.get("root")
@@ -222,35 +235,29 @@ def cmd_propagate(args) -> int:
 def _read_placements(path: str) -> dict[str, list[tuple[str, int]]]:
     """Each event's (competitor, rank) rows, events in order of first appearance."""
     import csv
+    import io
 
     placements: dict[str, list[tuple[str, int]]] = {}
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-    try:
-        with fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != ["event_id", "competitor", "rank"]:
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != ["event_id", "competitor", "rank"]:
+            raise ParseError(f"{path}:1: expected header 'event_id,competitor,rank', got {header}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != 3:
+                raise ParseError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
+            event_id, competitor, rank_text = (cell.strip() for cell in row)
+            try:
+                rank = int(rank_text)
+            except ValueError:
                 raise ParseError(
-                    f"{path}:1: expected header 'event_id,competitor,rank', got {header}"
-                )
-            for lineno, row in enumerate(reader, start=2):
-                if not row or all(not cell.strip() for cell in row):
-                    continue
-                if len(row) != 3:
-                    raise ParseError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-                event_id, competitor, rank_text = (cell.strip() for cell in row)
-                try:
-                    rank = int(rank_text)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}:{lineno}: rank must be an integer, got {rank_text!r}"
-                    ) from None
-                placements.setdefault(event_id, []).append((competitor, rank))
-    except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8 text, or a field over csv's limit
-        raise ParseError(f"{path}: unreadable as UTF-8 CSV ({exc})") from None
+                    f"{path}:{lineno}: rank must be an integer, got {rank_text!r}"
+                ) from None
+            placements.setdefault(event_id, []).append((competitor, rank))
+    except csv.Error as exc:  # a field over csv's limit
+        raise ParseError(f"{path}: unreadable as CSV ({exc})") from None
     return placements
 
 
@@ -277,11 +284,10 @@ def _build_family(spec_text: str):
         return counterexample_family(spec_text.split(":", 1)[1])
     if spec_text.startswith("grid:"):
         path = spec_text.split(":", 1)[1]
+        payload = _read_json(path)
         try:
-            return GridFamily.from_file(path)
-        except OSError as exc:
-            raise ParseError(f"cannot read {path}: {exc}") from None
-        except (ValueError, RecursionError) as exc:  # JSONDecodeError included
+            return GridFamily.from_dict(payload, name=spec_text)
+        except ValueError as exc:
             raise ParseError(f"{path}: malformed grid family file ({exc})") from None
     raise ParseError(
         f"unknown family {spec_text!r}; use builtin, grid:PATH, or "
@@ -388,12 +394,10 @@ def main(argv=None) -> int:
     except UndefinedContestError as exc:
         print(f"error: undefined contest: {exc}", file=sys.stderr)
         return EXIT_UNDEFINED
+    except GraphError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_GRAPH
     except ValueError as exc:
-        from .tree import GraphError
-
-        if isinstance(exc, GraphError):
-            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return EXIT_GRAPH
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNDEFINED
 

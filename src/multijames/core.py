@@ -35,6 +35,10 @@ class UndefinedContestError(ValueError):
     """
 
 
+class GraphError(ValueError):
+    """Base class for competition-graph validation failures; ``tree`` exports it."""
+
+
 def _check_pct(value: float, name: str = "winning percentage") -> float:
     v = float(value)
     if not 0.0 <= v <= 1.0:  # nan fails both comparisons

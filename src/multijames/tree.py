@@ -12,7 +12,7 @@ import math
 from functools import cached_property
 from typing import Iterable
 
-from .core import _Value
+from .core import GraphError, _Value
 
 __all__ = [
     "AnchorBoundaryError",
@@ -25,10 +25,6 @@ __all__ = [
     "p_n_from_tree",
     "propagate_percentages",
 ]
-
-class GraphError(ValueError):
-    """Base class for competition-graph validation failures."""
-
 
 class SelfLoopError(GraphError):
     pass
@@ -61,7 +57,7 @@ class PairwiseEdge(_Value):
         if u == v:
             raise SelfLoopError(f"self-loop at {u!r}")
         p = float(p_u_beats_v)
-        if math.isnan(p) or p <= 0.0 or p >= 1.0:
+        if not 0.0 < p < 1.0:  # nan fails both comparisons
             raise GraphError(
                 f"edge probability must lie strictly inside (0, 1), got {p_u_beats_v!r}"
             )

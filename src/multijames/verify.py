@@ -11,7 +11,6 @@ with the canonical family.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from array import array
@@ -58,7 +57,7 @@ class CanonicalFamily(CandidateFamily):
     name = "canonical"
 
     def __call__(self, a: float, opponents: Sequence[float]) -> float:
-        return p_n(Contest(a, tuple(opponents)))
+        return p_n(Contest(a, opponents))
 
 
 class NaiveProductFamily(CandidateFamily):
@@ -107,7 +106,7 @@ class MismatchedBaseFamily(CandidateFamily):
     def __call__(self, a: float, opponents: Sequence[float]) -> float:
         if len(opponents) == 1:
             return SquaredOddsFamily()(a, opponents)
-        return p_n(Contest(a, tuple(opponents)))
+        return p_n(Contest(a, opponents))
 
 
 _COUNTEREXAMPLES: dict[str, Callable[[], CandidateFamily]] = {
@@ -231,12 +230,6 @@ class GridFamily(CandidateFamily):
             raise ValueError(f"malformed table: {exc}") from None
 
     @classmethod
-    def from_file(cls, path: str) -> "GridFamily":
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        return cls.from_dict(payload, name=f"grid:{path}")
-
-    @classmethod
     def tabulate_canonical(cls, resolution: int = 101, n_max: int = 3) -> "GridFamily":
         """Tabulate the canonical family on uniform [0, 1] grids.
 
@@ -276,11 +269,10 @@ class GridFamily(CandidateFamily):
 
 
 class SampleSpec(_Value):
-    __slots__ = _fields = ("n_values", "points", "seed", "tolerance", "low", "high")
+    __slots__ = _fields = ("n_values", "points", "seed", "tolerance")
 
     def __init__(self, n_values: tuple[int, ...] = (1, 2, 3, 4), points: int = 250,
-                 seed: int = 0, tolerance: float = 1e-9, low: float = 0.05,
-                 high: float = 0.95) -> None:
+                 seed: int = 0, tolerance: float = 1e-9) -> None:
         if points < 1:
             raise ValueError(f"samples per opponent count must be at least 1, got {points}")
         if not n_values or min(n_values) < 1:
@@ -289,7 +281,7 @@ class SampleSpec(_Value):
             )
         if not 0.0 <= tolerance < math.inf:
             raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
-        self._init(n_values, points, seed, tolerance, low, high)
+        self._init(n_values, points, seed, tolerance)
 
 
 class CheckReport(_Value):
@@ -381,8 +373,11 @@ def _div(x: float, y: float) -> float:
     return x / y if y else x * math.inf
 
 
-def _uniform(rng: random.Random, spec: SampleSpec) -> float:
-    return rng.uniform(spec.low, spec.high)
+_LOW, _HIGH = 0.05, 0.95  # the range of every sampled percentage
+
+
+def _uniform(rng: random.Random) -> float:
+    return rng.uniform(_LOW, _HIGH)
 
 
 def check_conditions(f: CandidateFamily, spec: SampleSpec) -> list[CheckReport]:
@@ -390,37 +385,37 @@ def check_conditions(f: CandidateFamily, spec: SampleSpec) -> list[CheckReport]:
     f, spec = _supported(f, spec)
 
     def cond_a(rng, n):
-        a = _uniform(rng, spec)
+        a = _uniform(rng)
         got = f(a, [1.0 / (n + 1)] * n)
         return abs(got - a), (a, n)
 
     def cond_b(rng, n):
-        a = _uniform(rng, spec)
-        rest = [_uniform(rng, spec) for _ in range(n - 1)]
+        a = _uniform(rng)
+        rest = [_uniform(rng) for _ in range(n - 1)]
         with_zero = f(a, rest + [0.0])
         reduced = f(a, rest) if rest else 1.0
         return abs(with_zero - reduced), (a, *rest)
 
     def cond_c(rng, n):
-        xs = [_uniform(rng, spec) for _ in range(n + 1)]
+        xs = [_uniform(rng) for _ in range(n + 1)]
         total = math.fsum(
             f(xs[i], xs[:i] + xs[i + 1:]) for i in range(n + 1)
         )
         return abs(total - 1.0), tuple(xs)
 
     def cond_d(rng, n):
-        a = _uniform(rng, spec)
-        b = _uniform(rng, spec)
+        a = _uniform(rng)
+        b = _uniform(rng)
         k = rng.randint(1, n)
         lhs = f(1.0 - b, [1.0 - b] * (k - 1) + [1.0 - a] * (n + 1 - k))
         rhs = f(a, [a] * (k - 1) + [b] * (n + 1 - k))
         return abs(lhs - rhs), (a, b, k)
 
     def cond_e(rng, n):
-        a = _uniform(rng, spec)
-        rest = [_uniform(rng, spec) for _ in range(n - 1)]
-        b_lo = rng.uniform(spec.low, spec.high - 2e-3)
-        b_hi = rng.uniform(b_lo + 1e-3, spec.high)
+        a = _uniform(rng)
+        rest = [_uniform(rng) for _ in range(n - 1)]
+        b_lo = rng.uniform(_LOW, _HIGH - 2e-3)
+        b_hi = rng.uniform(b_lo + 1e-3, _HIGH)
         decrease = f(a, [b_lo] + rest) - f(a, [b_hi] + rest)
         if decrease > 0.0:
             return 0.0, None
@@ -428,8 +423,8 @@ def check_conditions(f: CandidateFamily, spec: SampleSpec) -> list[CheckReport]:
         return max(-decrease, 10.0 * spec.tolerance), (a, b_lo, b_hi, *rest)
 
     def cond_f(rng, n):
-        a = _uniform(rng, spec)
-        bs = [_uniform(rng, spec) for _ in range(n)]
+        a = _uniform(rng)
+        bs = [_uniform(rng) for _ in range(n)]
         perm = rng.sample(bs, len(bs))
         return abs(f(a, perm) - f(a, bs)), (a, *bs)
 
@@ -451,29 +446,29 @@ def check_uniqueness_properties(f: CandidateFamily, spec: SampleSpec) -> list[Ch
         return f(a, [b])
 
     def sum_formula(rng, n):
-        a = _uniform(rng, spec)
-        bs = [_uniform(rng, spec) for _ in range(n)]
+        a = _uniform(rng)
+        bs = [_uniform(rng) for _ in range(n)]
         rhs = 1.0 / (1.0 + _sum_odds([_odds(j1(a, b)) for b in bs]))
         return abs(f(a, bs) - rhs), (a, *bs)
 
     def substitution(rng, n):
-        a = _uniform(rng, spec)
-        c = _uniform(rng, spec)
-        bs = [_uniform(rng, spec) for _ in range(n)]
+        a = _uniform(rng)
+        c = _uniform(rng)
+        bs = [_uniform(rng) for _ in range(n)]
         rhs = 1.0 / (1.0 + _odds(j1(a, c)) * _odds(f(c, bs)))
         return abs(f(a, bs) - rhs), (a, c, *bs)
 
     def reduction(rng, n):
-        a = _uniform(rng, spec)
-        bs = [_uniform(rng, spec) for _ in range(n)]
+        a = _uniform(rng)
+        bs = [_uniform(rng) for _ in range(n)]
         tail = f(bs[0], bs[1:]) if len(bs) > 1 else 1.0
         rhs = 1.0 / (1.0 + _div(_odds(j1(a, bs[0])), tail))
         return abs(f(a, bs) - rhs), (a, *bs)
 
     def iia(rng, n):
-        a = _uniform(rng, spec)
-        b = _uniform(rng, spec)
-        shared = [_uniform(rng, spec) for _ in range(n - 1)]
+        a = _uniform(rng)
+        b = _uniform(rng)
+        shared = [_uniform(rng) for _ in range(n - 1)]
         # Cross-multiplied so the violation stays on the probability scale.
         lhs = f(b, [a] + shared) * j1(a, b)
         rhs = f(a, [b] + shared) * j1(b, a)
@@ -481,10 +476,10 @@ def check_uniqueness_properties(f: CandidateFamily, spec: SampleSpec) -> list[Ch
 
     def odds_ratio_indep(rng, n):
         m = rng.choice(spec.n_values)
-        bs = [_uniform(rng, spec) for _ in range(n)]
-        cs = [_uniform(rng, spec) for _ in range(m)]
-        a1 = _uniform(rng, spec)
-        a2 = _uniform(rng, spec)
+        bs = [_uniform(rng) for _ in range(n)]
+        cs = [_uniform(rng) for _ in range(m)]
+        a1 = _uniform(rng)
+        a2 = _uniform(rng)
 
         def ratio(a):
             pm = f(a, cs)
@@ -508,9 +503,9 @@ def check_matches_canonical(f: CandidateFamily, spec: SampleSpec) -> CheckReport
     f, spec = _supported(f, spec)
 
     def gap(rng, n):
-        a = _uniform(rng, spec)
-        bs = [_uniform(rng, spec) for _ in range(n)]
-        return abs(f(a, bs) - p_n(Contest(a, tuple(bs)))), (a, *bs)
+        a = _uniform(rng)
+        bs = [_uniform(rng) for _ in range(n)]
+        return abs(f(a, bs) - p_n(Contest(a, bs))), (a, *bs)
 
     return _scan("matches-canonical", spec, gap)
 

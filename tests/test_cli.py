@@ -764,6 +764,30 @@ class TestMalformedFiles:
             assert "Traceback" not in err, argv
 
 
+class TestFileReadErrors:
+    """A file that cannot be read as UTF-8 JSON gets one message, whichever command reads it.
+
+    The graph and the grid reader share it; the events reader shares the part
+    that opens and decodes the file.
+    """
+
+    DEFECTS = ("truncated.json", "empty.json", "not-utf8.json", "deeply-nested.json", "absent.json")
+
+    @pytest.mark.parametrize("name", DEFECTS)
+    def test_same_message_for_graph_and_grid(self, capsys, tmp_path, name):
+        path = next(p for p in write_malformed(tmp_path) if p.endswith(name))
+        commands = [["infer-tree", path], ["verify", "--family", f"grid:{path}"]]
+        if name in ("not-utf8.json", "absent.json"):
+            commands.append(["ingest", path])
+        errors = set()
+        for argv in commands:
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (4, ""), argv
+            assert err.startswith("error:") and path in err, (argv, err)
+            errors.add(err)
+        assert len(errors) == 1, errors
+
+
 class TestSubcommandExitCodes:
     """Every subcommand exits 0, 2, 3 or 4, or 1 from verify, with no traceback.
 
@@ -970,6 +994,38 @@ def import_probe(tmp_path_factory):
     result = json.loads(proc.stdout)
     assert result["codes"] == [0] * 8
     return [set(snapshot) for snapshot in result["snapshots"]]
+
+
+# Error exits of the subcommands that read no graph: each exit code, and whether
+# multijames.tree was loaded by then.
+_ERROR_PROBE = """
+import contextlib, io, json, sys
+from multijames import cli
+
+calls = [
+    ["predict", "-a", "1.5", "-b", "0.5"],
+    ["predict", "-a", "1", "-b", "1,0.5"],
+    ["simulate", "-a", "0.5", "-b", "0.5", "-n", "0"],
+    ["verify", "--samples", "0"],
+    ["ingest", sys.argv[1]],
+]
+results = []
+with contextlib.redirect_stderr(io.StringIO()):
+    for argv in calls:
+        results.append([cli.main(argv), "multijames.tree" in sys.modules])
+print(json.dumps(results))
+"""
+
+
+class TestErrorExitImports:
+    def test_error_exits_load_no_graph_module(self, tmp_path):
+        events = tmp_path / "events.csv"
+        events.write_text("id,name,place\ne,a,1\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", _ERROR_PROBE, str(events)],
+            capture_output=True, text=True, env=child_env(), check=True,
+        )
+        assert json.loads(proc.stdout) == [[2, False]] * 4 + [[4, False]]
 
 
 class TestImportHygiene:

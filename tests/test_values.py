@@ -73,9 +73,9 @@ CASES = {
     ),
     "SampleSpec": (
         lambda: SampleSpec(n_values=(1, 2), points=5, seed=1, tolerance=1e-9),
-        "SampleSpec(n_values=(1, 2), points=5, seed=1, tolerance=1e-09, low=0.05, high=0.95)",
+        "SampleSpec(n_values=(1, 2), points=5, seed=1, tolerance=1e-09)",
         True,
-        ("n_values", "points", "seed", "tolerance", "low", "high"),
+        ("n_values", "points", "seed", "tolerance"),
     ),
     "CheckReport": (
         lambda: CheckReport(

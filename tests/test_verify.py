@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from multijames import Contest, UndefinedContestError, p_n, strength
+from multijames import Contest, UndefinedContestError, cli, p_n, strength
 from multijames.verify import (
     COUNTEREXAMPLE_NAMES,
     CandidateFamily,
@@ -244,7 +244,7 @@ class TestGridFamily:
         small = GridFamily.from_dict(payload)
         path = tmp_path / "grid.json"
         path.write_text(json.dumps(payload))
-        loaded = GridFamily.from_file(str(path))
+        loaded = GridFamily.from_dict(cli._read_json(str(path)))
         assert loaded.max_n == 2
         assert_same_values(loaded, small, {n: t["grids"] for n, t in payload.items()})
 
