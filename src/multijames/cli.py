@@ -9,6 +9,7 @@ error, 4 input parse error.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
@@ -235,7 +236,6 @@ def cmd_propagate(args) -> int:
 def _read_placements(path: str) -> dict[str, list[tuple[str, int]]]:
     """Each event's (competitor, rank) rows, events in order of first appearance."""
     import csv
-    import io
 
     placements: dict[str, list[tuple[str, int]]] = {}
     reader = csv.reader(io.StringIO(_read_text(path), newline=""))
