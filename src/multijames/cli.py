@@ -243,17 +243,17 @@ def _read_placements(path: str) -> dict[str, list[tuple[str, int]]]:
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["event_id", "competitor", "rank"]:
             raise ParseError(f"{path}:1: expected header 'event_id,competitor,rank', got {header}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
+                raise ParseError(f"{path}:{reader.line_num}: expected 3 columns, got {len(row)}")
             event_id, competitor, rank_text = (cell.strip() for cell in row)
             try:
                 rank = int(rank_text)
             except ValueError:
                 raise ParseError(
-                    f"{path}:{lineno}: rank must be an integer, got {rank_text!r}"
+                    f"{path}:{reader.line_num}: rank must be an integer, got {rank_text!r}"
                 ) from None
             placements.setdefault(event_id, []).append((competitor, rank))
     except csv.Error as exc:  # a field over csv's limit

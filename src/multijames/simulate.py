@@ -82,10 +82,6 @@ class SimResult(_Value):
                    {} if per_competitor_wins is None else per_competitor_wins)  # None: a fresh dict
 
     @property
-    def trials(self) -> int:
-        return self.trials_completed + self.trials_abandoned
-
-    @property
     def wilson_95(self) -> tuple[float, float]:
         """Wilson score 95% interval for the win probability over resolved trials.
 

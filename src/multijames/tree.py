@@ -9,7 +9,6 @@ Given one anchor percentage the whole tree of winning percentages follows.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import Iterable
 
 from .core import GraphError, _Value
@@ -65,40 +64,46 @@ class PairwiseEdge(_Value):
 
 
 class CompetitionGraph(_Value):
-    """The known match-ups; ``vertices`` is the root plus every edge endpoint."""
+    """The known match-ups, checked on entry to form a tree.
 
-    # No __slots__: the cached index lives in the instance dict.
+    ``vertices`` is the root plus every edge endpoint.  ``_x`` holds each vertex's
+    path log-odds from the root, log q(v) - log q(root), in the order of a
+    breadth-first walk from the root, neighbors in name order.
+    """
+
     _fields = ("root", "edges", "vertices")
+    __slots__ = (*_fields, "_x")
 
     def __init__(self, root: str, edges: Iterable[PairwiseEdge]) -> None:
         edges = tuple(edges)
-        vertices = {root}
+        # u -> v -> the log-odds that u beats v, each reversed edge the exact negation.
+        adj: dict[str, dict[str, float]] = {root: {}}
         for e in edges:
-            vertices.add(e.u)
-            vertices.add(e.v)
-        self._init(root, edges, frozenset(vertices))
-
-    def __reduce__(self):
-        # The fields alone: the index is rebuilt on first use.
-        return CompetitionGraph, (self.root, self.edges)
-
-    @cached_property
-    def _log_odds(self) -> dict[str, dict[str, float]]:
-        """u -> v -> the log-odds that u beats v, each reversed edge the exact negation.
-
-        Built by the first walk and kept; a build that raises keeps nothing."""
-        adj: dict[str, dict[str, float]] = {v: {} for v in self.vertices}
-        for e in self.edges:
-            if e.v in adj[e.u]:
+            row = adj.setdefault(e.u, {})
+            if e.v in row:
                 a, b = sorted((e.u, e.v))
                 raise DuplicateEdgeError(f"duplicate edge between {a!r} and {b!r}")
-            adj[e.u][e.v] = x = _logit(e.p_u_beats_v)
-            adj[e.v][e.u] = -x
-        if len(self.edges) >= len(self.vertices):
-            raise ExtraEdgesError(
-                f"{len(self.edges)} edges over {len(self.vertices)} vertices: a cycle exists"
-            )
-        return adj
+            row[e.v] = lo = _logit(e.p_u_beats_v)
+            adj.setdefault(e.v, {})[e.u] = -lo
+        if len(edges) >= len(adj):
+            raise ExtraEdgesError(f"{len(edges)} edges over {len(adj)} vertices: a cycle exists")
+        # Each vertex's value is its parent's minus the log-odds that the parent beats it.
+        x = {root: 0.0}
+        order = [root]
+        for node in order:
+            row, base = adj[node], x[node]
+            for nbr in sorted(row):
+                if nbr not in x:
+                    x[nbr] = base - row[nbr]
+                    order.append(nbr)
+        if len(x) < len(adj):
+            raise DisconnectedError(adj.keys() - x.keys(), root)
+        self._init(root, edges, frozenset(adj))
+        object.__setattr__(self, "_x", x)
+
+    def __reduce__(self):
+        # The fields alone: construction checks the tree again and rebuilds ``_x``.
+        return CompetitionGraph, (self.root, self.edges)
 
 
 def _logit(p: float) -> float:
@@ -112,26 +117,6 @@ def _sigmoid(x: float) -> float:
     return 1.0 / (1.0 + e) if x >= 0.0 else e / (1.0 + e)
 
 
-def _walk(g: CompetitionGraph, start: str, x0: float) -> dict[str, float]:
-    """Check that ``g`` is a tree and walk it breadth-first, neighbors in name order.
-
-    Returns each vertex's path log-odds in visiting order: ``x0`` at ``start``,
-    then its parent's value minus the log-odds that the parent beats it.
-    """
-    adj = g._log_odds
-    x = {start: x0}
-    order = [start]
-    for node in order:
-        row, base = adj[node], x[node]
-        for nbr in sorted(row):
-            if nbr not in x:
-                x[nbr] = base - row[nbr]
-                order.append(nbr)
-    if len(order) < len(g.vertices):
-        raise DisconnectedError(g.vertices - x.keys(), start)
-    return x
-
-
 def p_n_from_tree(g: CompetitionGraph) -> float:
     """Path Formula: win probability of the root from the tree's edge probabilities.
 
@@ -139,7 +124,7 @@ def p_n_from_tree(g: CompetitionGraph) -> float:
     the ratios p(child beats parent) / p(parent beats child).  The products
     are summed as log-odds with a max-shifted log-sum-exp.
     """
-    x = _walk(g, g.root, 0.0).values()
+    x = g._x.values()
     # With the root's own term e^0 = 1 included, P = 1 / (1 + sum) = e^-L,
     # and L >= 0, so neither the sum nor the result can overflow.
     m = max(x)
@@ -151,23 +136,28 @@ def propagate_percentages(
 ) -> dict[str, float]:
     """Recover every competitor's winning percentage from one known anchor.
 
-    Walks outward from the anchor; each known edge probability c between a
-    solved vertex s and its neighbor t yields pct(t) = james_p(pct(s), c)
-    by the involutive property, i.e. logit(t) = logit(s) - logit(c).  Result
-    is independent of traversal order on a tree; breadth-first with sorted
-    names keeps it reproducible.
+    An edge c = P(s beats t) gives logit(t) = logit(s) - logit(c) by the involutive
+    property, so logit(v) = logit(anchor_pct) - x(anchor) + x(v), with x the graph's
+    path log-odds from the root.  Keys follow the root's walk; the anchor keeps its
+    exact input.
+
+    Against the percentages that the float edges and ``anchor_pct`` fix exactly,
+    each has relative error at most 7u (d(anchor) + d(v) + 2) (M + |L| + 1), plus
+    2^-1074 absolute: u = 2^-53, d(v) is the number of edges from the root to v,
+    M the largest |x(v)| and L = logit(anchor_pct).  Each path step adds at most
+    7u (M + 1) to a logit, and the sigmoid does not amplify that.
 
     The logits stay finite, but the final sigmoid correctly rounds a logit
     above about 36.7 to exactly 1.0 (and one below about -745 to 0.0).  Two
     competitors returned as 1.0 make a later ``p_n`` over them undefined.
     """
-    if anchor not in g.vertices:
+    x = g._x
+    if anchor not in x:
         raise GraphError(f"anchor {anchor!r} not among vertices")
     pct = float(anchor_pct)
-    inside = 0.0 < pct < 1.0
-    x = _walk(g, anchor, _logit(pct) if inside else 0.0)  # a graph error comes first
-    if not inside:
+    if not 0.0 < pct < 1.0:
         raise AnchorBoundaryError("anchor percentage must lie strictly inside (0, 1)")
-    result = {v: _sigmoid(t) for v, t in x.items()}
-    result[anchor] = pct  # the anchor keeps its exact input
+    shift = _logit(pct) - x[anchor]
+    result = {v: _sigmoid(shift + t) for v, t in x.items()}
+    result[anchor] = pct
     return result

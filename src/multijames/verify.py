@@ -87,10 +87,7 @@ class SquaredOddsFamily(CandidateFamily):
         if a == 1.0:
             return 0.0 if any(b == 1.0 for b in opponents) else 1.0
         wa = strength(a) ** 2
-        ws = [strength(b) ** 2 if b < 1.0 else math.inf for b in opponents]
-        if any(math.isinf(w) for w in ws):
-            return 0.0
-        return wa / (wa + math.fsum(ws))
+        return wa / (wa + math.fsum(strength(b) ** 2 for b in opponents))
 
 
 class MismatchedBaseFamily(CandidateFamily):

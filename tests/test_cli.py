@@ -437,6 +437,12 @@ class TestPropagate:
         assert code == 4
         assert "NAME=PCT" in err
 
+    def test_anchor_percentage_not_a_number(self, capsys, tmp_path):
+        path = write_json(tmp_path, "chain.json", CHAIN_EDGES)
+        code, out, err = run(capsys, "propagate", path, "--anchor", "A=abc")
+        assert (code, out) == (4, "")
+        assert "could not parse anchor percentage" in err
+
     def test_boundary_anchor(self, capsys, tmp_path):
         path = write_json(tmp_path, "chain.json", CHAIN_EDGES)
         code, _, _ = run(capsys, "propagate", path, "--anchor", "A=1.0")
@@ -482,6 +488,11 @@ class TestIngest:
         code, _, err = run(capsys, "ingest", path)
         assert code == 4
         assert ":3:" in err
+        # A quoted name over two lines: the bad rank is on physical line 4.
+        path = self.write_csv(tmp_path, ['e,"a\nb",1', "e,c,x"])
+        code, _, err = run(capsys, "ingest", path)
+        assert code == 4
+        assert ":4:" in err
 
     @pytest.mark.parametrize(
         "row",

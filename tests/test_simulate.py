@@ -212,7 +212,7 @@ class TestEstimate:
     def test_max_trials(self):
         contest = Contest(0.6, (0.4,))
         result = estimate_p_n(contest, SimConfig(trials=MAX_TRIALS, seed=8))
-        assert result.trials == MAX_TRIALS
+        assert result.trials_completed + result.trials_abandoned == MAX_TRIALS
         assert abs(result.win_probability_estimate - p_n(contest)) < 5 * result.standard_error
 
     def test_max_rounds(self):
@@ -223,7 +223,7 @@ class TestEstimate:
 
     def test_result_trials_property(self):
         r = SimResult(0.5, 0.01, 90, 10, {0: 45, 1: 45})
-        assert r.trials == 100
+        assert r.trials_completed + r.trials_abandoned == 100
 
 
 class TestWilson:

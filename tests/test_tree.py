@@ -53,17 +53,9 @@ def chain_graph():
     )
 
 
-def tree_checks(g):
-    """Both tree walks, from the root: each must reject an invalid graph."""
-    return (
-        lambda: p_n_from_tree(g),
-        lambda: propagate_percentages(g, g.root, 0.5),
-    )
-
-
 class TestValidation:
     def test_valid_chain(self):
-        # The walk is breadth-first from the anchor, neighbors in name order.
+        # Keys follow a breadth-first walk from the root, neighbors in name order.
         assert list(propagate_percentages(chain_graph(), "A", 0.5)) == ["A", "B1", "B2"]
         assert chain_graph().vertices == {"A", "B1", "B2"}
 
@@ -73,41 +65,36 @@ class TestValidation:
         assert len(figure_graph().vertices) == 9
 
     def test_cycle_raises_extra_edges(self):
-        g = CompetitionGraph(
-            "A",
-            (
-                PairwiseEdge("A", "B1", 0.5),
-                PairwiseEdge("A", "B2", 0.5),
-                PairwiseEdge("B1", "B2", 0.5),
-            ),
-        )
-        for check in tree_checks(g):
-            with pytest.raises(ExtraEdgesError):
-                check()
+        with pytest.raises(ExtraEdgesError):
+            CompetitionGraph(
+                "A",
+                (
+                    PairwiseEdge("A", "B1", 0.5),
+                    PairwiseEdge("A", "B2", 0.5),
+                    PairwiseEdge("B1", "B2", 0.5),
+                ),
+            )
 
     def test_disconnected_lists_unreachable(self):
-        g = CompetitionGraph(
-            "A",
-            (PairwiseEdge("A", "B1", 0.5), PairwiseEdge("B2", "B3", 0.5)),
-        )
-        for check in tree_checks(g):
-            with pytest.raises(DisconnectedError) as excinfo:
-                check()
-            assert excinfo.value.unreachable == ["B2", "B3"]
+        with pytest.raises(DisconnectedError) as excinfo:
+            CompetitionGraph(
+                "A",
+                (PairwiseEdge("A", "B1", 0.5), PairwiseEdge("B2", "B3", 0.5)),
+            )
+        assert excinfo.value.unreachable == ["B2", "B3"]
 
     def test_duplicate_edge(self):
-        g = CompetitionGraph(
-            "A",
-            (
-                PairwiseEdge("A", "B1", 0.5),
-                PairwiseEdge("B1", "A", 0.4),
-                PairwiseEdge("B1", "B2", 0.5),
-                PairwiseEdge("B2", "B3", 0.5),
-            ),
-        )
-        for check in tree_checks(g):
-            with pytest.raises(DuplicateEdgeError):
-                check()
+        # The duplicate is found before the second component is.
+        with pytest.raises(DuplicateEdgeError):
+            CompetitionGraph(
+                "A",
+                (
+                    PairwiseEdge("A", "B1", 0.5),
+                    PairwiseEdge("B1", "A", 0.4),
+                    PairwiseEdge("B1", "B2", 0.5),
+                    PairwiseEdge("B2", "B3", 0.5),
+                ),
+            )
 
     def test_self_loop_rejected_at_construction(self):
         with pytest.raises(SelfLoopError):
@@ -122,10 +109,8 @@ class TestValidation:
     def test_unknown_root(self):
         # The vertices are always the root plus the endpoints, so a root on no
         # edge is a vertex of its own that reaches nothing.
-        g = CompetitionGraph("Z", (PairwiseEdge("A", "B", 0.5),))
-        assert g.vertices == {"Z", "A", "B"}
         with pytest.raises(DisconnectedError) as excinfo:
-            p_n_from_tree(g)
+            CompetitionGraph("Z", (PairwiseEdge("A", "B", 0.5),))
         assert excinfo.value.unreachable == ["A", "B"]
         with pytest.raises(TypeError):
             CompetitionGraph("Z", (PairwiseEdge("A", "B", 0.5),), frozenset({"A", "B"}))
@@ -235,12 +220,13 @@ class TestPropagation:
             p_n(Contest(result["c1"], (result["c63"],)))
 
     def test_anchor_outside_root_component(self):
-        g = CompetitionGraph(
-            "A",
-            (PairwiseEdge("A", "B1", 0.5), PairwiseEdge("B2", "B3", 0.5)),
-        )
+        # A graph with a second component is refused when built, so no anchor
+        # lies outside the root's; the error names what the root cannot reach.
         with pytest.raises(DisconnectedError) as excinfo:
-            propagate_percentages(g, "B2", 0.5)
+            CompetitionGraph(
+                "B2",
+                (PairwiseEdge("A", "B1", 0.5), PairwiseEdge("B2", "B3", 0.5)),
+            )
         assert excinfo.value.unreachable == ["A", "B1"]
         assert "'B2'" in str(excinfo.value)
 
@@ -346,9 +332,36 @@ class TestRandomTreeOracle:
             for v, pct in exact.items():
                 assert abs(Fraction(recovered[v]) - pct) <= self.BOUND * pct, v
 
+    def test_deep_chain_propagation_within_docstring_bound(self):
+        # Root at one end of each 300-edge chain, the anchor at the other, so the
+        # path through the root is as long as it gets.  Seed and size were fixed
+        # before the first run.
+        rng = random.Random(1919)
+        u = 2.0**-53
+        for _ in range(10):
+            names = [f"v{i}" for i in range(301)]
+            rng.shuffle(names)
+            pcts = [extreme_pct(rng) for _ in names]
+            edges = [
+                PairwiseEdge(names[i], names[i + 1], float(exact_james(pcts[i], pcts[i + 1])))
+                if rng.random() < 0.5 else
+                PairwiseEdge(names[i + 1], names[i], float(exact_james(pcts[i + 1], pcts[i])))
+                for i in range(300)
+            ]
+            g = CompetitionGraph(names[0], edges)
+            anchor, anchor_pct = names[-1], extreme_pct(rng)
+            exact = exact_percentages(g, anchor, anchor_pct)
+            log_q = {v: math.log(p / (1 - p)) for v, p in exact.items()}
+            big_m = max(abs(log_q[v] - log_q[g.root]) for v in names)
+            big_l = abs(math.log(anchor_pct / (1 - anchor_pct)))
+            recovered = propagate_percentages(g, anchor, anchor_pct)
+            for depth, v in enumerate(names):
+                bound = 7 * u * (300 + depth + 2) * (big_m + big_l + 1)
+                assert abs(Fraction(recovered[v]) - exact[v]) <= bound * exact[v], v
+
 
 class TestWalkCache:
-    """One graph indexed once and walked many times, in any order, as if fresh."""
+    """One graph built once and read many times, in any order, as if fresh."""
 
     def graph(self):
         return random_tree(random.Random(7))
@@ -385,13 +398,11 @@ class TestWalkCache:
         ids=["duplicate", "cycle", "second-component"],
     )
     def test_invalid_graph_raises_on_every_call(self, edges, error):
-        g = CompetitionGraph("A", tuple(PairwiseEdge(u, v, 0.5) for u, v in edges))
         messages = []
         for _ in range(3):
-            for check in tree_checks(g) * 2:
-                with pytest.raises(error) as excinfo:
-                    check()
-                messages.append(str(excinfo.value))
+            with pytest.raises(error) as excinfo:
+                CompetitionGraph("A", tuple(PairwiseEdge(u, v, 0.5) for u, v in edges))
+            messages.append(str(excinfo.value))
         assert len(set(messages)) == 1
 
     def test_walk_leaves_identity_unchanged(self):

@@ -1,4 +1,4 @@
-"""Value semantics of the nine value classes: repr, equality, hashing, pickling, freezing.
+"""Value semantics of the nine value classes: repr, equality, hashing, pickling, freezing, slots.
 
 These are the semantics the classes had as dataclasses, and the expected
 strings were written against that implementation.
@@ -126,6 +126,10 @@ class TestValueSemantics:
             loaded = pickle.loads(pickle.dumps(x, protocol))
             assert type(loaded) is type(x)
             assert loaded == x and repr(loaded) == expected
+
+    def test_no_instance_dict(self, name):
+        # Slotted all the way down: a value keeps no state outside its slots.
+        assert not hasattr(CASES[name][0](), "__dict__")
 
     def test_keyword_construction_matches_positional(self, name):
         make, _, _, fields = CASES[name]

@@ -103,6 +103,13 @@ class TestCounterexamples:
         assert reports["condition-F"].passed
         assert not reports["matches-canonical"].passed
 
+    def test_squared_odds_at_one(self):
+        family = counterexample_family("squared-odds")
+        assert family(1.0, [0.5, 0.9]) == 1.0
+        assert family(1.0, [0.5, 1.0]) == 0.0
+        assert family(0.7, [0.2, 1.0]) == 0.0
+        assert family(0.5, [0.5, 0.5]) == 1 / 3
+
     def test_squared_odds_fails_only_the_fixed_point(self):
         reports = by_name(run_all_checks(counterexample_family("squared-odds"), SPEC))
         assert not reports["condition-A"].passed
@@ -264,6 +271,7 @@ class TestGridFamily:
             ([[0.0, 1.0], ["-inf", 0.0]], [0.0] * 4),  # non-finite node
             ([[0.0, 1.0], [0.0, 1.0]], [[0, 1, 1], [1]]),  # ragged, though 4 values in all
             ([[0.0, 1.0], [0.0, 1.0]], [[0, 1], 1, 0]),  # a row and bare values mixed
+            ([[0.0, 1.0]], [0.0, 1.0]),  # one axis where n = 1 needs two
         ],
     )
     def test_malformed_tables_rejected(self, grids, values):
