@@ -9,16 +9,23 @@ arithmetic to the direct evaluator.
 Odds are formed directly from the percentages through the strength
 q(b) = b/(1 - b), never as 1/p - 1 from a probability p, which cancels as p
 approaches 1, and no evaluator divides by zero on an interior input.
-Product form, substitution and the shifted and expanded sums carry their
-odds as ``math.frexp`` mantissas and exponents, so a factor may leave the
-float range where the probability does not.
+A factor may leave the float range where the probability does not.  Scaling
+by a power of two is exact, so the product form and the expanded sum rescale
+only where a value would leave the normal range.  The product form scales a
+and each b_j by 2**974 and restarts a run of products that falls below
+2**-300, which keeps each of its terms in [2**-859, 2**974].  The expanded
+sum lifts each strength below 2**-900 by 2**974, which keeps each ratio and
+chain term in [2**-974, 2**974].  Terms that share a power of two go to one
+fsum as they are.  Substitution and the shifted sum carry their few factors
+as ``math.frexp`` mantissas and exponents.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import accumulate, compress
-from operator import mul, truediv
+from bisect import bisect_left
+from itertools import accumulate, chain, compress, pairwise, repeat
+from operator import mul, not_, truediv
 from typing import Sequence
 
 from .core import (
@@ -41,6 +48,11 @@ __all__ = [
     "validate_partition",
 ]
 
+_LIFT_EXP = 974
+_LIFT = 2.0**_LIFT_EXP  # exact on [0, 1]; lifts every subnormal into the normal range
+_FLOOR = 2.0**-300  # a run of products restarts below this
+_GUARD = 2.0**-900  # the expanded sum lifts a strength below this
+
 
 def _strength_sum(field: Sequence[float]) -> float:
     """Sum of q(b) = b/(1 - b) over a field with every b < 1, correctly rounded."""
@@ -55,10 +67,16 @@ def _sum_odds(terms: list[float]) -> float:
         return math.inf
 
 
-def _scaled_sum(mants: Sequence[float], exps: Sequence[int]) -> tuple[float, int]:
-    """Sum of terms m * 2**e, not all 0, as s * 2**top for top the largest e of a nonzero m."""
-    top = max(compress(exps, mants))
-    return math.fsum(map(math.ldexp, mants, [e - top for e in exps])), top
+def _scaled_sum(parts: list[tuple[list[float], int]]) -> tuple[float, int]:
+    """Sum over (values, e) in parts of each value times 2**e, not all 0, as s * 2**top.
+
+    top is the largest e of a part with a nonzero value; only the other parts are shifted.
+    """
+    top = max([e for values, e in parts if any(values)])
+    terms: list[float] = []
+    for values, e in parts:
+        terms += values if e == top else map(math.ldexp, values, repeat(e - top))
+    return math.fsum(terms), top
 
 
 def _p_from_odds(m: float, e: int) -> float:
@@ -69,18 +87,39 @@ def _p_from_odds(m: float, e: int) -> float:
     return 1.0 / (1.0 + math.ldexp(m, e))
 
 
-def _pair_odds(a: float, b: float) -> float:
-    """Odds against a in one game with b: b(1 - a) / (a(1 - b)).
+def _products(factors: list[float]) -> tuple[list[float], list[int], list[int]]:
+    """Products of factors[:j] for j = 0..n, each factor in [0, 1], as values[j] * 2**exps[j].
 
-    Formed as q(b)(1 - a)/a, which divides only by a and overflows only where
-    the odds themselves do.
+    Where the products fall below 2**-300 they restart from the ``frexp`` mantissa
+    of the product there; ``starts`` lists where each run begins.  A nonzero value
+    thus lies in [2**-353, 1] and has the significand that renormalizing at every
+    step would give.  After a zero factor every product is 0, and none restarts.
     """
-    return b / (1.0 - b) * (1.0 - a) / a
+    values = [1.0, *accumulate(factors, mul)]
+    exps = [0] * len(values)
+    starts = [0]
+    j = 0
+    while values[-1] < _FLOOR:
+        j = bisect_left(values, True, j + 1, key=_FLOOR.__gt__)  # the products never rise
+        if not values[j]:
+            break
+        m, e = math.frexp(values[j])
+        values[j:] = accumulate(factors[j:], mul, initial=m)
+        exps[j:] = [exps[j] + e] * (len(values) - j)
+        starts.append(j)
+    return values, starts, exps
 
 
 def _field_odds(a: float, field: Sequence[float]) -> float:
     """Odds against a when it meets a whole field at once: (1 - a) sum q(b_i) / a."""
     return _strength_sum(field) * (1.0 - a) / a
+
+
+def _checked_contest(protagonist: float, opponents: tuple[float, ...]) -> Contest:
+    """A Contest of values that a Contest already checked, built without checking them again."""
+    c = object.__new__(Contest)
+    c._init(protagonist, opponents)
+    return c
 
 
 def _require_interior(value: float, name: str) -> float:
@@ -106,40 +145,33 @@ def p_n_product_form(c: Contest) -> float:
 
     The products over i != j come from prefix and suffix products, so the
     cost is O(n), and nothing divides by 1 - b_i; 200 factors of 0.001 do
-    not underflow.
+    not underflow.  With a and each b_j scaled by 2**974, which is exact,
+    and every product kept in [2**-353, 1] by restarting its run, each term
+    lies in [2**-859, 2**974]: the terms between two restarts share one
+    power of two, and only those of another run are shifted before one fsum.
     """
     if classify_contest(c) is ContestClass.UNDEFINED:
         raise UndefinedContestError("probability undefined for this contest")
-    # mants[j] * 2**exps[j] is term j; it starts as prod_{i > j} (1 - b_i).
-    mants: list[float] = []
-    exps: list[int] = []
-    m, e = 1.0, 0
-    for b in reversed(c.opponents):
-        mants.append(m)
-        exps.append(e)
-        m, shift = math.frexp(m * (1.0 - b))
-        e += shift
-    mants, exps = mants[::-1], exps[::-1]
-    # Then m, e run over the prefix products prod_{i < j} (1 - b_i).
-    lose_m, lose_e = math.frexp(1.0 - c.protagonist)
-    m, e = 1.0, 0
-    for j, b in enumerate(c.opponents):
-        b_m, b_e = math.frexp(b)
-        mants[j] *= b_m * lose_m * m
-        exps[j] += b_e + lose_e + e
-        m, shift = math.frexp(m * (1.0 - b))
-        e += shift
-    a_m, a_e = math.frexp(c.protagonist)
-    num_m, num_e = a_m * m, a_e + e
-    total, top = _scaled_sum(mants + [num_m], exps + [num_e])  # defined: a term is nonzero
-    return math.ldexp(num_m, num_e - top) / total
+    n, factors = c.n, [1.0 - b for b in c.opponents]
+    pre, pre_starts, pre_exps = _products(factors)
+    suf, suf_starts, suf_exps = _products(factors[::-1])
+    scale = _LIFT * (1.0 - c.protagonist)
+    terms = [s * (b * scale * p) for s, b, p in zip(suf[-2::-1], c.opponents, pre)]
+    # Term j carries 2**(pre_exps[j] + suf_exps[n - 1 - j]); both change only where a run restarts.
+    cuts = sorted(pre_starts + [n - r for r in suf_starts])  # 0 and n among them
+    parts = [(terms[lo:hi], pre_exps[lo] + suf_exps[n - 1 - lo]) for lo, hi in pairwise(cuts)]
+    num = c.protagonist * _LIFT * pre[-1]
+    total, top = _scaled_sum([*parts, ([num], pre_exps[-1])])  # defined: a term is nonzero
+    return math.ldexp(num, pre_exps[-1] - top) / total
 
 
 def odds_from_sum(c: Contest) -> float:
     """Sum Formula: the odds against the protagonist, as a sum over opponents."""
     _interior_contest(c)
-    a = c.protagonist
-    return _sum_odds([_pair_odds(a, b) for b in c.opponents])
+    a, lose = c.protagonist, 1.0 - c.protagonist
+    # Each pair's odds b(1 - a)/(a(1 - b)) as q(b)(1 - a)/a, which divides only by a
+    # and overflows only where the odds themselves do.
+    return _sum_odds([b / (1.0 - b) * lose / a for b in c.opponents])
 
 
 def p_n_substitution(c: Contest, pivot: float) -> float:
@@ -162,6 +194,11 @@ def p_n_substitution(c: Contest, pivot: float) -> float:
 def validate_partition(blocks: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...], ...]:
     """Check that blocks are nonempty, disjoint, and cover the indices 0..n-1."""
     normalized = tuple(tuple(block) for block in blocks)
+    try:
+        if all(normalized) and sorted(chain(*normalized)) == list(range(n)):
+            return normalized
+    except TypeError:
+        pass  # an index that does not compare; the loop below names it
     seen: set[int] = set()
     for block in normalized:
         if not block:
@@ -201,13 +238,13 @@ def p_n_reduction(c: Contest) -> float:
     rest = c.opponents[1:]
     if any(b >= 1.0 for b in rest):
         raise ValueError("remaining opponents must lie in [0, 1)")
-    p_rest = p_n(Contest(b1, rest)) if rest else 1.0
+    p_rest = p_n(_checked_contest(b1, rest)) if rest else 1.0
     if p_rest < _TINY:
         raise ValueError(
             f"reduction: the first opponent beats the rest with probability {p_rest!r}, "
             "below 2**-1022; put a stronger opponent first"
         )
-    return 1.0 / (1.0 + _pair_odds(a, b1) / p_rest)
+    return 1.0 / (1.0 + b1 / (1.0 - b1) * (1.0 - a) / a / p_rest)
 
 
 def p_n_shifted_sum(c: Contest) -> float:
@@ -227,9 +264,24 @@ def p_n_shifted_sum(c: Contest) -> float:
 def p_n_expanded_sum(c: Contest) -> float:
     """Expanded Sum Formula: a chain of pairwise odds q(c_i)/q(c_{i-1}) along a, b_1, ..., b_n.
 
-    Term k multiplies the strengths' mantissa ratios in turn; their exponents telescope.
+    Term k multiplies the ratios in turn and telescopes to q(b_k)/q(a).  Each
+    strength below 2**-900 is first lifted by 2**974, exactly, so every
+    strength lies in [2**-900, 2**74] and every ratio and term in
+    [2**-974, 2**974]; the terms of lifted and unlifted opponents are then
+    summed, each group under its own power of two.
     """
     _interior_contest(c)
-    mants, exps = zip(*map(math.frexp, [x / (1.0 - x) for x in (c.protagonist, *c.opponents)]))
-    m, e = _scaled_sum(list(accumulate(map(truediv, mants[1:], mants), mul)), exps[1:])
-    return _p_from_odds(m, e - exps[0])
+    q = [x / (1.0 - x) for x in (c.protagonist, *c.opponents)]
+    low = []
+    if min(q) < _GUARD:
+        low = [v < _GUARD for v in q]
+        q = [v * _LIFT if up else v for v, up in zip(q, low)]
+    terms = list(accumulate(map(truediv, q[1:], q), mul))
+    parts = [(terms, 0)]
+    if low:  # term k carries 2**(974 (low[0] - low[k]))
+        e = _LIFT_EXP * low[0]
+        parts = [(list(compress(terms, map(not_, low[1:]))), e),
+                 (list(compress(terms, low[1:])), e - _LIFT_EXP)]
+    total, top = _scaled_sum(parts)
+    m, e = math.frexp(total)
+    return _p_from_odds(m, e + top)

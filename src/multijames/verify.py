@@ -17,7 +17,7 @@ from array import array
 from bisect import bisect_right
 from typing import Callable, Mapping, Sequence
 
-from .core import Contest, _Value, james_p, p_n, strength
+from .core import Contest, UndefinedContestError, _Value, james_p, p_n, strength
 from .identities import _sum_odds
 
 __all__ = [
@@ -84,8 +84,13 @@ class SquaredOddsFamily(CandidateFamily):
     name = "squared-odds"
 
     def __call__(self, a: float, opponents: Sequence[float]) -> float:
+        ones = (a == 1.0) + sum(b == 1.0 for b in opponents)
+        if ones >= 2 or not (a or any(opponents)):
+            raise UndefinedContestError(
+                "all percentages are 0 or at least two are 1; probability undefined"
+            )
         if a == 1.0:
-            return 0.0 if any(b == 1.0 for b in opponents) else 1.0
+            return 1.0
         wa = strength(a) ** 2
         return wa / (wa + math.fsum(strength(b) ** 2 for b in opponents))
 

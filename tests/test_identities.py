@@ -487,6 +487,55 @@ def test_every_method_on_the_interior_sample():
     assert reduction_refused > 0  # the sample reaches the refusal
 
 
+# 200 contests of 64 or 256 opponents drawn like the sample above, so the product form
+# restarts its runs of products many times.  Seed and size were fixed before the first run.
+LARGE_SAMPLE_SEED = 22
+LARGE_SAMPLE_CONTESTS = 200
+
+
+def test_every_method_on_a_large_field_sample():
+    rng = random.Random(LARGE_SAMPLE_SEED)
+    failures = dict.fromkeys(cli.METHODS, 0)
+    for _ in range(LARGE_SAMPLE_CONTESTS):
+        n = rng.choice((64, 256))
+        a = draw(rng, INTERIOR_STRATA)
+        bs = tuple(draw(rng, INTERIOR_STRATA) for _ in range(n))
+        exact = exact_p_n(a, bs)
+        for method, value in method_outcomes(a, bs, 0.5).items():
+            if isinstance(value, ValueError):
+                assert method == "reduction" and "below 2**-1022" in str(value), (method, a, bs)
+            elif out_of_bound(value, exact):
+                failures[method] += 1
+    assert failures == dict.fromkeys(cli.METHODS, 0)
+
+
+NEAR_ONE = 1.0 - 2.0**-53
+
+
+@pytest.mark.parametrize("a", [0.5, 5e-324, NEAR_ONE])
+@pytest.mark.parametrize("evaluate", [p_n_product_form, p_n_expanded_sum], ids=["product", "expanded"])
+def test_deep_field_with_subnormal_opponents(evaluate, a):
+    # Each factor 1 - b is 2**-53, so the runs of products restart every few opponents.
+    bs = [NEAR_ONE] * 256
+    bs[3], bs[100], bs[101], bs[255] = 5e-324, 2.0**-1022, 5e-324, 2.0**-1022
+    assert not out_of_bound(evaluate(Contest(a, bs)), exact_p_n(a, bs))
+
+
+@pytest.mark.parametrize(
+    "a, bs",
+    [
+        (0.5, (2.0**-899, 2.0**-901, 2.0**-900)),
+        (2.0**-901, (2.0**-899, 0.5, 2.0**-950, NEAR_ONE)),
+        (2.0**-899, (5e-324, 2.0**-901, NEAR_ONE, 2.0**-900 * (1 - 2.0**-53))),
+        # Every chain term is normal, but unlifted the ratio q(b_2)/q(b_1), about 2**-1050,
+        # would keep 24 bits, and the last term would carry that error.
+        (0.5, (1 - 2.0**-50, 1.2345 * 2.0**-1000, 1 / 3, 2.0**-899 * 1.3, 1 - 2.0**-50)),
+    ],
+)
+def test_expanded_strengths_straddling_the_lift(a, bs):
+    assert not out_of_bound(p_n_expanded_sum(Contest(a, bs)), exact_p_n(a, bs))
+
+
 @settings(max_examples=400, deadline=None)
 @seed(5)
 @given(full_domain, st.lists(full_domain, min_size=1, max_size=8), full_domain)

@@ -106,9 +106,17 @@ class TestCounterexamples:
     def test_squared_odds_at_one(self):
         family = counterexample_family("squared-odds")
         assert family(1.0, [0.5, 0.9]) == 1.0
-        assert family(1.0, [0.5, 1.0]) == 0.0
         assert family(0.7, [0.2, 1.0]) == 0.0
         assert family(0.5, [0.5, 0.5]) == 1 / 3
+
+    @pytest.mark.parametrize(
+        "a, bs", [(0.0, [0.0]), (0.0, [0.0, -0.0]), (1.0, [1.0]), (1.0, [0.5, 1.0]), (0.5, [1.0, 1.0])]
+    )
+    def test_squared_odds_undefined_where_p_n_is(self, a, bs):
+        with pytest.raises(UndefinedContestError):
+            p_n(Contest(a, bs))
+        with pytest.raises(UndefinedContestError):
+            counterexample_family("squared-odds")(a, bs)
 
     def test_squared_odds_fails_only_the_fixed_point(self):
         reports = by_name(run_all_checks(counterexample_family("squared-odds"), SPEC))
