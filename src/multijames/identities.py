@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from itertools import accumulate, chain, compress, pairwise, repeat
-from operator import mul, not_, truediv
+from itertools import accumulate, chain, pairwise, repeat
+from operator import mul, truediv
 from typing import Sequence
 
 from .core import (
@@ -108,11 +108,6 @@ def _products(factors: list[float]) -> tuple[list[float], list[int], list[int]]:
         exps[j:] = [exps[j] + e] * (len(values) - j)
         starts.append(j)
     return values, starts, exps
-
-
-def _field_odds(a: float, field: Sequence[float]) -> float:
-    """Odds against a when it meets a whole field at once: (1 - a) sum q(b_i) / a."""
-    return _strength_sum(field) * (1.0 - a) / a
 
 
 def _checked_contest(protagonist: float, opponents: tuple[float, ...]) -> Contest:
@@ -220,7 +215,8 @@ def p_n_partitioned(c: Contest, blocks: Sequence[Sequence[int]]) -> float:
     _interior_contest(c)
     parts = validate_partition(blocks, c.n)
     a, opps = c.protagonist, c.opponents
-    odds = _sum_odds([_field_odds(a, [opps[i] for i in block]) for block in parts])
+    # Each block's odds against a, met as a whole field: (1 - a) sum q(b_i) / a.
+    odds = _sum_odds([_strength_sum([opps[i] for i in block]) * (1.0 - a) / a for block in parts])
     return 1.0 / (1.0 + odds)
 
 
@@ -267,8 +263,8 @@ def p_n_expanded_sum(c: Contest) -> float:
     Term k multiplies the ratios in turn and telescopes to q(b_k)/q(a).  Each
     strength below 2**-900 is first lifted by 2**974, exactly, so every
     strength lies in [2**-900, 2**74] and every ratio and term in
-    [2**-974, 2**974]; the terms of lifted and unlifted opponents are then
-    summed, each group under its own power of two.
+    [2**-974, 2**974].  Term k then carries 2**(974 (l_0 - l_k)) for the
+    lifts l_0 of a and l_k of b_k, which the scaled sum undoes.
     """
     _interior_contest(c)
     q = [x / (1.0 - x) for x in (c.protagonist, *c.opponents)]
@@ -278,10 +274,8 @@ def p_n_expanded_sum(c: Contest) -> float:
         q = [v * _LIFT if up else v for v, up in zip(q, low)]
     terms = list(accumulate(map(truediv, q[1:], q), mul))
     parts = [(terms, 0)]
-    if low:  # term k carries 2**(974 (low[0] - low[k]))
-        e = _LIFT_EXP * low[0]
-        parts = [(list(compress(terms, map(not_, low[1:]))), e),
-                 (list(compress(terms, low[1:])), e - _LIFT_EXP)]
+    if low:
+        parts = [([t], _LIFT_EXP * (low[0] - up)) for t, up in zip(terms, low[1:])]
     total, top = _scaled_sum(parts)
     m, e = math.frexp(total)
     return _p_from_odds(m, e + top)
