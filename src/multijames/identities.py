@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from itertools import accumulate, chain, pairwise, repeat
+from itertools import accumulate, pairwise, repeat
 from operator import mul, truediv
 from typing import Sequence
 
@@ -156,7 +156,8 @@ def p_n_product_form(c: Contest) -> float:
     cuts = sorted(pre_starts + [n - r for r in suf_starts])  # 0 and n among them
     parts = [(terms[lo:hi], pre_exps[lo] + suf_exps[n - 1 - lo]) for lo, hi in pairwise(cuts)]
     num = c.protagonist * _LIFT * pre[-1]
-    total, top = _scaled_sum([*parts, ([num], pre_exps[-1])])  # defined: a term is nonzero
+    parts.append(([num], pre_exps[-1]))
+    total, top = _scaled_sum(parts)  # defined: a term is nonzero
     return math.ldexp(num, pre_exps[-1] - top) / total
 
 
@@ -189,11 +190,6 @@ def p_n_substitution(c: Contest, pivot: float) -> float:
 def validate_partition(blocks: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...], ...]:
     """Check that blocks are nonempty, disjoint, and cover the indices 0..n-1."""
     normalized = tuple(tuple(block) for block in blocks)
-    try:
-        if all(normalized) and sorted(chain(*normalized)) == list(range(n)):
-            return normalized
-    except TypeError:
-        pass  # an index that does not compare; the loop below names it
     seen: set[int] = set()
     for block in normalized:
         if not block:
