@@ -123,11 +123,13 @@ class Contest(_Value):
     __slots__ = _fields = ("protagonist", "opponents")
 
     def __init__(self, protagonist: float, opponents: Iterable[float]) -> None:
-        object.__setattr__(self, "protagonist", _check_pct(protagonist, "protagonist"))
+        fast = type(protagonist) is float and 0.0 <= protagonist <= 1.0
+        a = protagonist + 0.0 if fast else _check_pct(protagonist, "protagonist")
         opps = _check_pcts(opponents)
         if not opps:
             raise ValueError("a contest needs at least one opponent")
-        object.__setattr__(self, "opponents", opps)
+        _setattr(self, "protagonist", a)
+        _setattr(self, "opponents", opps)
 
     @property
     def n(self) -> int:
@@ -165,6 +167,11 @@ def james_p(a: float, b: float) -> float:
     b = _check_pct(b, "b")
     if a == b and (a == 0.0 or a == 1.0):
         raise UndefinedContestError(f"probability undefined for a = b = {a}")
+    return _james(a, b)
+
+
+def _james(a: float, b: float) -> float:
+    """james_p for checked a and b that are not both 0 or both 1."""
     num = a * (1.0 - b)
     if num < _TINY and a > 0.0 and b < 1.0:
         # a(1 - b) rounded on the subnormal grid, or to 0; this form rounds
@@ -179,28 +186,42 @@ def p_n(c: Contest) -> float:
     Evaluated as a / (a + (1 - a) * sum of opponent strengths), which never
     forms the protagonist's strength, so it does not overflow as a approaches 1.
     That one expression also gives 1.0 for a = 1 or an all-zero field and 0.0
-    for a = 0.
+    for a = 0.  Within 2e-15 relative, or one subnormal step below 2**-1022.
+    The Contest has checked every value, so a field inside (0, 1) costs the
+    strength pass, one C-level product (nonzero: no opponent is 0) and one fsum;
+    only an opponent at 0 or 1 goes to classify_contest.
     """
-    cls = classify_contest(c)
-    if cls is ContestClass.UNDEFINED:
-        raise UndefinedContestError(
-            "all percentages are 0 or at least two are 1; probability undefined"
-        )
-    if cls is ContestClass.FORCED_LOSS:
-        return 0.0  # some b_i = 1, whose strength would divide by zero
-    a = c.protagonist
-    # Zero opponents add nothing to the sum; they are dropped only so that a
-    # contest with one nonzero opponent reduces to james_p bit for bit.
-    live = c.opponents
-    if 0.0 in live:
+    a, live = c.protagonist, c.opponents
+    try:
+        strengths = [b / (1.0 - b) for b in live]
+    except ZeroDivisionError:  # an opponent at 1
+        strengths = None
+    # A zero product may also be an underflow; then the exact check decides.
+    if strengths is None or not math.prod(live) and 0.0 in live:
+        cls = classify_contest(c)
+        if cls is ContestClass.UNDEFINED:
+            raise UndefinedContestError(
+                "all percentages are 0 or at least two are 1; probability undefined"
+            )
+        if cls is ContestClass.FORCED_LOSS:
+            return 0.0  # some b_i = 1, whose strength would divide by zero
+        # Zero opponents add nothing to the sum; they are dropped only so that a
+        # contest with one nonzero opponent reduces to james_p bit for bit.
         live = [b for b in live if b != 0.0]
     if len(live) == 1:
-        return james_p(a, live[0])
-    # Each q(b_i) is bounded so long as b_i < 1, and fsum gives a correctly
-    # rounded total, so the result is permutation invariant.  Nothing divides
+        return _james(a, live[0])
+    # Each q(b_i) is bounded so long as b_i < 1, and fsum gives a correctly rounded
+    # total, zeros or not, so the result is permutation invariant.  Nothing divides
     # by a, so a subnormal protagonist needs no special case.
-    total = math.fsum([b / (1.0 - b) for b in live])
-    return a / (a + (1.0 - a) * total)
+    return a / (a + (1.0 - a) * math.fsum(strengths))
+
+
+def _checked_contest(protagonist: float, opponents: tuple[float, ...]) -> Contest:
+    """A Contest of floats in [0, 1] that the caller has checked already; none is checked again."""
+    c = object.__new__(Contest)
+    _setattr(c, "protagonist", protagonist)
+    _setattr(c, "opponents", opponents)
+    return c
 
 
 def level_transform(s: float, t: float) -> float:

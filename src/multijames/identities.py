@@ -33,6 +33,7 @@ from .core import (
     Contest,
     ContestClass,
     UndefinedContestError,
+    _checked_contest,
     classify_contest,
     p_n,
 )
@@ -108,13 +109,6 @@ def _products(factors: list[float]) -> tuple[list[float], list[int], list[int]]:
         exps[j:] = [exps[j] + e] * (len(values) - j)
         starts.append(j)
     return values, starts, exps
-
-
-def _checked_contest(protagonist: float, opponents: tuple[float, ...]) -> Contest:
-    """A Contest of values that a Contest already checked, built without checking them again."""
-    c = object.__new__(Contest)
-    c._init(protagonist, opponents)
-    return c
 
 
 def _require_interior(value: float, name: str) -> float:

@@ -17,7 +17,7 @@ from array import array
 from bisect import bisect_right
 from typing import Callable, Mapping, Sequence
 
-from .core import Contest, UndefinedContestError, _Value, james_p, p_n, strength
+from .core import Contest, UndefinedContestError, _Value, _checked_contest, james_p, p_n, strength
 from .identities import _sum_odds
 
 __all__ = [
@@ -91,8 +91,13 @@ class SquaredOddsFamily(CandidateFamily):
             )
         if a == 1.0:
             return 1.0
-        wa = strength(a) ** 2
-        return wa / (wa + math.fsum(strength(b) ** 2 for b in opponents))
+        # Scaled by a power of two so that the largest strength lies in [0.5, 1)
+        # and the squares cannot all underflow.  v * v is correctly rounded, unlike
+        # pow, so the scale changes no square in the normal range.
+        q = [strength(x) for x in (a, *opponents)]
+        scale = -math.frexp(max(q))[1]
+        wa, *wb = [v * v for v in (math.ldexp(x, scale) for x in q)]
+        return wa / (wa + math.fsum(wb))
 
 
 class MismatchedBaseFamily(CandidateFamily):
@@ -507,7 +512,7 @@ def check_matches_canonical(f: CandidateFamily, spec: SampleSpec) -> CheckReport
     def gap(rng, n):
         a = _uniform(rng)
         bs = [_uniform(rng) for _ in range(n)]
-        return abs(f(a, bs) - p_n(Contest(a, bs))), (a, *bs)
+        return abs(f(a, bs) - p_n(_checked_contest(a, tuple(bs)))), (a, *bs)
 
     return _scan("matches-canonical", spec, gap)
 

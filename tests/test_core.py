@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import pickle
 import random
@@ -20,6 +21,7 @@ from multijames import (
     strength,
 )
 
+import multijames.core as core
 from multijames.core import _check_pct
 
 from _domain import CORE_STRATA, draw
@@ -155,7 +157,16 @@ class TestPn:
         assert exact_p_n(0.5, (0.8, 0.5)) == exact_p_n(Fraction(1, 2), (0.8, Fraction(1, 2)))
 
     def test_zero_opponent_reduces_exactly(self):
-        assert p_n(Contest(0.7, (0.4, 0.0))) == james_p(0.7, 0.4)
+        # Zero opponents reach classify_contest through the zero product, and the
+        # one live opponent then goes to the pairwise kernel, wherever it stands.
+        pairs = [(0.7, 0.4), (0.78, 0.3), (5e-324, 0.5), (1e-310, 1e-300), (1.0, 0.3), (0.0, 0.3),
+                 (0.5, 1.0 - 2.0**-53)]
+        for zeros in (1, 2, 16, 256):
+            for a, b in pairs:
+                expected = james_p(a, b).hex()
+                for at in range(zeros + 1):
+                    field = (0.0,) * at + (b,) + (0.0,) * (zeros - at)
+                    assert p_n(Contest(a, field)).hex() == expected, (a, b, zeros, at)
 
     def test_forced_outcomes(self):
         assert p_n(Contest(1.0, (0.3, 0.4))) == 1.0
@@ -474,3 +485,52 @@ def test_full_domain_contest_and_p_n():
         checked += 1
     # The draw must reach every outcome it is meant to cover.
     assert checked > FULL_DOMAIN_CONTESTS // 2 and undefined > 10
+
+
+GRID_PCTS = (0.0, 5e-324, 2.0**-1022, 0.5, 1.0 - 2.0**-53, 1.0)
+
+
+def grid_contests():
+    """Every contest over GRID_PCTS with n <= 3: zero opponents, opponents at 1,
+    and fields whose product underflows although no opponent is 0."""
+    for n in (1, 2, 3):
+        for a, *bs in itertools.product(GRID_PCTS, repeat=n + 1):
+            yield a, tuple(bs)
+
+
+def test_boundary_grid_p_n():
+    undefined = 0
+    for a, bs in grid_contests():
+        exact = exact_or_none(a, bs)
+        c = Contest(a, bs)
+        if exact is None:
+            with pytest.raises(UndefinedContestError):
+                p_n(c)
+            undefined += 1
+            continue
+        got = p_n(c)
+        assert abs(Fraction(got) - exact) <= P_N_REL_BOUND * exact + Fraction(P_N_ABS_BOUND), (
+            a, bs, got, float(exact))
+    assert undefined > 100
+
+
+def test_p_n_checks_no_value_again(monkeypatch):
+    """p_n on a built Contest neither re-checks a percentage nor calls james_p."""
+    rng = random.Random(4)
+    contests = [Contest(a, bs) for a, bs in grid_contests()]
+    contests += [Contest(rng.random(), tuple(rng.random() for _ in range(n))) for n in (1, 4, 256)]
+
+    def outcome(c):
+        try:
+            return p_n(c).hex()
+        except UndefinedContestError as exc:
+            return str(exc)
+
+    expected = [outcome(c) for c in contests]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a checked value was checked again")
+
+    for name in ("james_p", "_check_pct", "_check_pcts"):
+        monkeypatch.setattr(core, name, forbidden)
+    assert [outcome(c) for c in contests] == expected

@@ -86,6 +86,17 @@ class TestCanonicalFamily:
         report = check_matches_canonical(CanonicalFamily(), SPEC)
         assert report.max_violation == 0.0
 
+    def test_canonical_side_builds_no_checked_contest(self, monkeypatch):
+        # The verifier's own draws need no check; the naive family calls only james_p.
+        built = []
+        init = Contest.__init__
+        monkeypatch.setattr(Contest, "__init__", lambda self, *args: built.append(init(self, *args)))
+        Contest(0.5, (0.5,))
+        assert len(built) == 1
+        report = check_matches_canonical(counterexample_family("naive-product"), SPEC)
+        assert report.samples == 600 and not report.passed
+        assert len(built) == 1
+
 
 class TestCounterexamples:
     def test_registry(self):
@@ -108,6 +119,14 @@ class TestCounterexamples:
         assert family(1.0, [0.5, 0.9]) == 1.0
         assert family(0.7, [0.2, 1.0]) == 0.0
         assert family(0.5, [0.5, 0.5]) == 1 / 3
+
+    @pytest.mark.parametrize(
+        "a, bs, expected",
+        [(1e-200, [1e-200], 0.5), (1e-200, [2e-200], 0.2), (5e-324, [5e-324, 5e-324], 1 / 3)],
+    )
+    def test_squared_odds_on_tiny_strengths(self, a, bs, expected):
+        # Every squared strength but the largest may underflow; the family's value does not.
+        assert counterexample_family("squared-odds")(a, bs) == pytest.approx(expected, rel=1e-15)
 
     @pytest.mark.parametrize(
         "a, bs", [(0.0, [0.0]), (0.0, [0.0, -0.0]), (1.0, [1.0]), (1.0, [0.5, 1.0]), (0.5, [1.0, 1.0])]
