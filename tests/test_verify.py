@@ -125,7 +125,7 @@ class TestCounterexamples:
         [(1e-200, [1e-200], 0.5), (1e-200, [2e-200], 0.2), (5e-324, [5e-324, 5e-324], 1 / 3)],
     )
     def test_squared_odds_on_tiny_strengths(self, a, bs, expected):
-        # Every squared strength but the largest may underflow; the family's value does not.
+        # Unscaled, every squared strength here underflows to 0.
         assert counterexample_family("squared-odds")(a, bs) == pytest.approx(expected, rel=1e-15)
 
     @pytest.mark.parametrize(
