@@ -8,35 +8,27 @@ arithmetic to the direct evaluator.
 
 Odds are formed directly from the percentages through the strength
 q(b) = b/(1 - b), never as 1/p - 1 from a probability p, which cancels as p
-approaches 1, and no evaluator divides by zero on an interior input.
-A factor may leave the float range where the probability does not.  Scaling
-by a power of two is exact, so the product form and the expanded sum rescale
-only where a value would leave the normal range.  The product form scales a
-and each b_j by 2**974 and restarts a run of products that falls below
-2**-300, which keeps each of its terms in [2**-859, 2**974].  The expanded
-sum lifts each strength below 2**-900 by 2**974, which keeps each ratio and
-chain term in [2**-974, 2**974].  Terms that share a power of two go to one
-fsum as they are.  Substitution and the shifted sum carry their few factors
-as ``math.frexp`` mantissas and exponents.
+approaches 1, and no evaluator divides by zero on an interior input.  Every
+route but the product form needs each percentage strictly inside (0, 1) and
+makes one strength pass over the opponents, screened as :func:`core.p_n`
+screens its own: an opponent at 1 divides by zero, and one at 0 zeroes the
+product of the field.  Only a contest that fails the screen runs the
+per-value check, which names the first value outside.  A factor may leave
+the float range where the probability does not.  Scaling by a power of two
+is exact, so the product form and the expanded sum rescale only where a
+value would leave the normal range, and substitution and the shifted sum
+carry their few factors as ``math.frexp`` mantissas and exponents.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from itertools import accumulate, pairwise, repeat
+from itertools import accumulate, chain, pairwise, repeat
 from operator import mul, truediv
 from typing import Sequence
 
-from .core import (
-    _TINY,
-    Contest,
-    ContestClass,
-    UndefinedContestError,
-    _checked_contest,
-    classify_contest,
-    p_n,
-)
+from .core import _TINY, Contest, UndefinedContestError, _checked_contest, p_n
 
 __all__ = [
     "odds_from_sum",
@@ -55,11 +47,6 @@ _FLOOR = 2.0**-300  # a run of products restarts below this
 _GUARD = 2.0**-900  # the expanded sum lifts a strength below this
 
 
-def _strength_sum(field: Sequence[float]) -> float:
-    """Sum of q(b) = b/(1 - b) over a field with every b < 1, correctly rounded."""
-    return math.fsum([b / (1.0 - b) for b in field])
-
-
 def _sum_odds(terms: list[float]) -> float:
     """fsum of nonnegative odds; inf where the total overflows, so 1/(1 + odds) is 0."""
     try:
@@ -68,15 +55,15 @@ def _sum_odds(terms: list[float]) -> float:
         return math.inf
 
 
-def _scaled_sum(parts: list[tuple[list[float], int]]) -> tuple[float, int]:
-    """Sum over (values, e) in parts of each value times 2**e, not all 0, as s * 2**top.
+def _scaled_sum(terms: list[float], runs: list[tuple[int, int, int]]) -> tuple[float, int]:
+    """Sum of terms[lo:hi] * 2**e over runs (lo, hi, e) that cover terms, as s * 2**top.
 
-    top is the largest e of a part with a nonzero value; only the other parts are shifted.
+    top is the largest e of a run with a nonzero term, else ValueError; the rest shift in place.
     """
-    top = max([e for values, e in parts if any(values)])
-    terms: list[float] = []
-    for values, e in parts:
-        terms += values if e == top else map(math.ldexp, values, repeat(e - top))
+    top = max([e for lo, hi, e in runs if any(terms[lo:hi])])
+    for lo, hi, e in runs:
+        if e != top:
+            terms[lo:hi] = map(math.ldexp, terms[lo:hi], repeat(e - top))
     return math.fsum(terms), top
 
 
@@ -88,17 +75,17 @@ def _p_from_odds(m: float, e: int) -> float:
     return 1.0 / (1.0 + math.ldexp(m, e))
 
 
-def _products(factors: list[float]) -> tuple[list[float], list[int], list[int]]:
-    """Products of factors[:j] for j = 0..n, each factor in [0, 1], as values[j] * 2**exps[j].
+def _products(factors: list[float]) -> tuple[list[float], list[tuple[int, int]]]:
+    """Products of factors[:j] for j = 0..n, each factor in [0, 1], in runs of plain floats.
 
     Where the products fall below 2**-300 they restart from the ``frexp`` mantissa
-    of the product there; ``starts`` lists where each run begins.  A nonzero value
-    thus lies in [2**-353, 1] and has the significand that renormalizing at every
-    step would give.  After a zero factor every product is 0, and none restarts.
+    m * 2**e of the product at j; ``restarts`` lists each such (j, e), and values[j:]
+    then stand for their products times 2**e.  A nonzero value thus lies in
+    [2**-353, 1] and has the significand that renormalizing at every step would
+    give.  After a zero factor every product is 0, and none restarts.
     """
     values = [1.0, *accumulate(factors, mul)]
-    exps = [0] * len(values)
-    starts = [0]
+    restarts = []
     j = 0
     while values[-1] < _FLOOR:
         j = bisect_left(values, True, j + 1, key=_FLOOR.__gt__)  # the products never rise
@@ -106,9 +93,8 @@ def _products(factors: list[float]) -> tuple[list[float], list[int], list[int]]:
             break
         m, e = math.frexp(values[j])
         values[j:] = accumulate(factors[j:], mul, initial=m)
-        exps[j:] = [exps[j] + e] * (len(values) - j)
-        starts.append(j)
-    return values, starts, exps
+        restarts.append((j, e))
+    return values, restarts
 
 
 def _require_interior(value: float, name: str) -> float:
@@ -117,12 +103,19 @@ def _require_interior(value: float, name: str) -> float:
     return value
 
 
-def _interior_contest(c: Contest) -> None:
-    _require_interior(c.protagonist, "protagonist")
-    # A Contest holds no NaN, so min and max decide; the loop names the value.
-    if not (0.0 < min(c.opponents) and max(c.opponents) < 1.0):
-        for b in c.opponents:
+def _strengths(c: Contest) -> list[float]:
+    """q(b) = b/(1 - b) for each opponent of a contest that lies strictly inside (0, 1)."""
+    a, opps = c.protagonist, c.opponents
+    try:
+        q = [b / (1.0 - b) for b in opps]
+    except ZeroDivisionError:  # an opponent at 1
+        q = []
+    # A zero product may also be an underflow; then the exact check decides.
+    if not (0.0 < a < 1.0 and q and (math.prod(opps) or 0.0 not in opps)):
+        _require_interior(a, "protagonist")
+        for b in opps:
             _require_interior(b, "opponent")
+    return q
 
 
 def p_n_product_form(c: Contest) -> float:
@@ -139,29 +132,33 @@ def p_n_product_form(c: Contest) -> float:
     lies in [2**-859, 2**974]: the terms between two restarts share one
     power of two, and only those of another run are shifted before one fsum.
     """
-    if classify_contest(c) is ContestClass.UNDEFINED:
-        raise UndefinedContestError("probability undefined for this contest")
     n, factors = c.n, [1.0 - b for b in c.opponents]
-    pre, pre_starts, pre_exps = _products(factors)
-    suf, suf_starts, suf_exps = _products(factors[::-1])
+    pre, restarts = _products(factors)
+    suf, suf_restarts = _products(factors[::-1])
     scale = _LIFT * (1.0 - c.protagonist)
     terms = [s * (b * scale * p) for s, b, p in zip(suf[-2::-1], c.opponents, pre)]
-    # Term j carries 2**(pre_exps[j] + suf_exps[n - 1 - j]); both change only where a run restarts.
-    cuts = sorted(pre_starts + [n - r for r in suf_starts])  # 0 and n among them
-    parts = [(terms[lo:hi], pre_exps[lo] + suf_exps[n - 1 - lo]) for lo, hi in pairwise(cuts)]
-    num = c.protagonist * _LIFT * pre[-1]
-    parts.append(([num], pre_exps[-1]))
-    total, top = _scaled_sum(parts)  # defined: a term is nonzero
-    return math.ldexp(num, pre_exps[-1] - top) / total
+    terms.append(c.protagonist * _LIFT * pre[-1])
+    # Up to one common factor, term j (the numerator is term n) carries 2**e, where e sums the
+    # restarts of pre at j or before and takes off each of suf at i from j = n - i on.
+    steps = sorted(restarts + [(n - i, -k) for i, k in suf_restarts])
+    e, runs = 0, []
+    for (lo, k), (hi, _) in pairwise([(0, 0), *steps, (n + 1, 0)]):
+        e += k
+        runs.append((lo, hi, e))
+    try:
+        total, top = _scaled_sum(terms, runs)
+    except ValueError:  # every term is 0: all percentages are 0, or two are 1
+        raise UndefinedContestError("probability undefined for this contest") from None
+    return terms[-1] / total  # the numerator, shifted as the sum took it
 
 
 def odds_from_sum(c: Contest) -> float:
     """Sum Formula: the odds against the protagonist, as a sum over opponents."""
-    _interior_contest(c)
+    q = _strengths(c)
     a, lose = c.protagonist, 1.0 - c.protagonist
     # Each pair's odds b(1 - a)/(a(1 - b)) as q(b)(1 - a)/a, which divides only by a
     # and overflows only where the odds themselves do.
-    return _sum_odds([b / (1.0 - b) * lose / a for b in c.opponents])
+    return _sum_odds([v * lose / a for v in q])
 
 
 def p_n_substitution(c: Contest, pivot: float) -> float:
@@ -172,10 +169,10 @@ def p_n_substitution(c: Contest, pivot: float) -> float:
     sum q(b_i) (1 - pivot)/pivot.  A pivot or protagonist near 0 or 1 takes
     either factor out of the float range while their product stays in it.
     """
-    _interior_contest(c)
+    field = math.fsum(_strengths(c))
     pivot = _require_interior(float(pivot), "pivot")
     a = c.protagonist
-    factors = (pivot / (1.0 - pivot), 1.0 - a, _strength_sum(c.opponents), 1.0 - pivot, a, pivot)
+    factors = (pivot / (1.0 - pivot), 1.0 - a, field, 1.0 - pivot, a, pivot)
     mants, exps = zip(*map(math.frexp, factors))
     m = math.prod(mants[:4]) / mants[4] / mants[5]  # in [1/16, 4)
     return _p_from_odds(m, sum(exps[:4]) - exps[4] - exps[5])
@@ -183,12 +180,18 @@ def p_n_substitution(c: Contest, pivot: float) -> float:
 
 def validate_partition(blocks: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...], ...]:
     """Check that blocks are nonempty, disjoint, and cover the indices 0..n-1."""
-    normalized = tuple(tuple(block) for block in blocks)
+    normalized = tuple(map(tuple, blocks))
+    flat = [*chain.from_iterable(normalized)]
+    # Only ints sum to an int; the set comparison alone would take 1.0 for the index 1.
+    if all(normalized) and len(flat) == n and set(flat) == set(range(n)) and type(sum(flat)) is int:
+        return normalized
     seen: set[int] = set()
     for block in normalized:
         if not block:
             raise ValueError("partition blocks must be nonempty")
         for idx in block:
+            if not hasattr(idx, "__index__"):
+                raise ValueError(f"partition index {idx!r} is not an integer")
             if not 0 <= idx < n:
                 raise ValueError(f"partition index {idx} outside 0..{n - 1}")
             if idx in seen:
@@ -202,11 +205,11 @@ def validate_partition(blocks: Sequence[Sequence[int]], n: int) -> tuple[tuple[i
 
 def p_n_partitioned(c: Contest, blocks: Sequence[Sequence[int]]) -> float:
     """Partitioned sum formula: odds add across any split of the opponent set."""
-    _interior_contest(c)
+    q = _strengths(c)
     parts = validate_partition(blocks, c.n)
-    a, opps = c.protagonist, c.opponents
+    a = c.protagonist
     # Each block's odds against a, met as a whole field: (1 - a) sum q(b_i) / a.
-    odds = _sum_odds([_strength_sum([opps[i] for i in block]) * (1.0 - a) / a for block in parts])
+    odds = _sum_odds([math.fsum([q[i] for i in block]) * (1.0 - a) / a for block in parts])
     return 1.0 / (1.0 + odds)
 
 
@@ -219,10 +222,9 @@ def p_n_reduction(c: Contest) -> float:
     carries the precision that dividing by it needs.
     """
     a = _require_interior(c.protagonist, "protagonist")
-    b1 = c.opponents[0]
-    _require_interior(b1, "first opponent")
+    b1 = _require_interior(c.opponents[0], "first opponent")
     rest = c.opponents[1:]
-    if any(b >= 1.0 for b in rest):
+    if 1.0 in rest:  # a Contest holds nothing above 1
         raise ValueError("remaining opponents must lie in [0, 1)")
     p_rest = p_n(_checked_contest(b1, rest)) if rest else 1.0
     if p_rest < _TINY:
@@ -240,10 +242,10 @@ def p_n_shifted_sum(c: Contest) -> float:
     formed as q(b_j) / (m 2**-54), neither subnormal nor infinite, and their
     sum is scaled by 2**-(k + 54); times odds(a, b_1), the 2**k cancels.
     """
-    _interior_contest(c)
-    (a_m, a_e), (b1_m, _) = [math.frexp(x / (1.0 - x)) for x in (c.protagonist, c.opponents[0])]
+    q = _strengths(c)
+    (a_m, a_e), (b1_m, _) = map(math.frexp, (c.protagonist / (1.0 - c.protagonist), q[0]))
     unit = math.ldexp(b1_m, -54)  # so the j = 1 term, 2**(k + 54), is the exact 1
-    m, e = math.frexp(math.fsum([b / (1.0 - b) / unit for b in c.opponents]))
+    m, e = math.frexp(math.fsum([v / unit for v in q]))
     return _p_from_odds(m * b1_m / a_m, e - 54 - a_e)
 
 
@@ -256,16 +258,14 @@ def p_n_expanded_sum(c: Contest) -> float:
     [2**-974, 2**974].  Term k then carries 2**(974 (l_0 - l_k)) for the
     lifts l_0 of a and l_k of b_k, which the scaled sum undoes.
     """
-    _interior_contest(c)
-    q = [x / (1.0 - x) for x in (c.protagonist, *c.opponents)]
-    low = []
+    q = _strengths(c)
+    q.insert(0, c.protagonist / (1.0 - c.protagonist))
+    runs = [(0, c.n, 0)]
     if min(q) < _GUARD:
         low = [v < _GUARD for v in q]
         q = [v * _LIFT if up else v for v, up in zip(q, low)]
+        runs = [(j, j + 1, _LIFT_EXP * (low[0] - up)) for j, up in enumerate(low[1:])]
     terms = list(accumulate(map(truediv, q[1:], q), mul))
-    parts = [(terms, 0)]
-    if low:
-        parts = [([t], _LIFT_EXP * (low[0] - up)) for t, up in zip(terms, low[1:])]
-    total, top = _scaled_sum(parts)
+    total, top = _scaled_sum(terms, runs)
     m, e = math.frexp(total)
     return _p_from_odds(m, e + top)

@@ -2,11 +2,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from multijames import Contest, UndefinedContestError, cli, james_p, p_n, strength
+from multijames import Contest, UndefinedContestError, cli, identities, james_p, p_n, strength
 from multijames.identities import (
     odds_from_sum,
     p_n_expanded_sum,
@@ -85,6 +86,46 @@ class TestProductForm:
             bs = tuple(rng.random() for _ in range(256))
             expected = float(exact_product_form(a, bs))
             assert p_n_product_form(Contest(a, bs)) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    # Each 0.75 is a factor 1 - b of exactly 2**-2, and the 40 mild factors multiply to
+    # about 0.98.  So 149 of them keep the product of all factors above the restart
+    # threshold 2**-300 and 150 take it below; 300 restart some runs twice.  The prefix
+    # and the suffix runs restart at different places unless the two cuts coincide.
+    @pytest.mark.parametrize(
+        "count, where, restarts",
+        [
+            (149, "front", (0, 0)),
+            (149, "middle", (0, 0)),
+            (149, "back", (0, 0)),
+            (150, "front", (1, 1)),
+            (150, "middle", (1, 1)),
+            (150, "back", (1, 1)),
+            (300, "front", (1, 2)),
+            (300, "middle", (2, 2)),
+            (300, "back", (2, 1)),
+        ],
+    )
+    def test_runs_restart_at_the_threshold(self, count, where, restarts):
+        rng = random.Random(count)
+        mild = [rng.uniform(1e-4, 1e-3) for _ in range(40)]
+        at = {"front": 0, "middle": 20, "back": 40}[where]
+        bs = (*mild[:at], *[0.75] * count, *mild[at:])
+        factors = [1.0 - b for b in bs]
+        runs = identities._products(factors)[1], identities._products(factors[::-1])[1]
+        assert tuple(map(len, runs)) == restarts
+        for a in (0.3, 5e-324, NEAR_ONE):
+            assert not out_of_bound(p_n_product_form(Contest(a, bs)), exact_p_n(a, bs)), a
+
+    @pytest.mark.parametrize("edge", [0.0, 1.0])
+    @pytest.mark.parametrize("at", [0, 100, 160, 298])
+    def test_boundary_opponent_around_a_restart(self, edge, at):
+        # 298 factors of 2**-2 restart each run once; an opponent at 1 is a zero factor,
+        # before or after that restart, and one at 0 a zero term.
+        bs = [0.75] * 299
+        bs[at] = edge
+        for a in (0.3, 1.0 - edge):  # not a second percentage at 1, which is undefined
+            value = p_n_product_form(Contest(a, bs))
+            assert value == pytest.approx(float(exact_product_form(a, bs)), rel=1e-13, abs=0.0)
 
 
 class TestSumFormula:
@@ -174,6 +215,38 @@ class TestPartition:
             validate_partition([(), (0,)], 1)
         with pytest.raises(ValueError):
             validate_partition([(0, 5)], 2)
+
+    @pytest.mark.parametrize(
+        "blocks, message",
+        [
+            ([[0, math.nan]], "partition index nan is not an integer"),
+            ([[0, 0]], "partition index 0 repeated"),
+            ([[0], []], "partition blocks must be nonempty"),
+            ([[0, 2]], "partition index 2 outside 0..1"),
+            ([[-1, 0]], "partition index -1 outside 0..1"),
+            ([[0], [1.5]], "partition index 1.5 is not an integer"),
+            ([[0, 1.0]], "partition index 1.0 is not an integer"),
+            ([(0, 1.5)], "partition index 1.5 is not an integer"),
+        ],
+    )
+    def test_validate_partition_messages(self, blocks, message):
+        # A set comparison takes 1.0 for 1, and validate_partition once accepted
+        # [(0, 1.5)] for n = 2, although index 1 is never covered.
+        with pytest.raises(ValueError) as exc:
+            validate_partition(blocks, 2)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("blocks", [[(0, 1.0)], [(0, 1.5)]])
+    def test_non_integer_index_is_a_value_error(self, blocks):
+        # This was a TypeError from indexing the field with a float.
+        with pytest.raises(ValueError, match="is not an integer"):
+            p_n_partitioned(Contest(0.5, (0.3, 0.6)), blocks)
+
+    @pytest.mark.parametrize("blocks", [[[0], [np.int64(1)]], [[True, 0]], [(1,), (0,)]])
+    def test_integer_like_indices_are_accepted(self, blocks):
+        assert validate_partition(blocks, 2) == tuple(map(tuple, blocks))
+        c = Contest(0.5, (0.3, 0.6))
+        assert p_n_partitioned(c, blocks) == pytest.approx(p_n(c), rel=1e-14)
 
     def test_singletons_match_sum_path(self):
         c = Contest(0.5, (0.8, 0.5))
@@ -551,3 +624,47 @@ def test_every_method_on_the_full_domain(a, bs, pivot):
             assert not inside or "below 2**-1022" in str(value), value
         else:  # the other routes need every percentage, and the pivot, inside (0, 1)
             assert not inside or method == "substitution" and not 0.0 < pivot < 1.0, value
+
+
+SCREENED = {
+    "sum": odds_from_sum,
+    "substitution": lambda c: p_n_substitution(c, 0.5),
+    "partition": lambda c: p_n_partitioned(c, [range(c.n)]),
+    "shifted": p_n_shifted_sum,
+    "expanded": p_n_expanded_sum,
+    "reduction": p_n_reduction,
+}
+
+
+@pytest.mark.parametrize("method", SCREENED)
+@pytest.mark.parametrize("n", [1, 2, 16, 256])
+@pytest.mark.parametrize("edge", [0.0, 1.0])
+def test_boundary_opponent_at_every_position(method, n, edge):
+    evaluate = SCREENED[method]
+    rng = random.Random(n)
+    field = [rng.uniform(0.05, 0.95) for _ in range(n)]
+    for position in range(n):
+        bs = field[:position] + [edge] + field[position + 1:]
+        with pytest.raises(ValueError) as exc:
+            evaluate(Contest(edge, bs))  # the protagonist is reported first
+        assert str(exc.value) == f"protagonist must lie strictly inside (0, 1), got {edge!r}"
+        if method == "reduction" and position:
+            if edge == 0.0:  # the rest may hold zeros
+                assert not out_of_bound(evaluate(Contest(0.4, bs)), exact_p_n(0.4, bs))
+                continue
+            message = "remaining opponents must lie in [0, 1)"
+        else:
+            name = "first opponent" if method == "reduction" else "opponent"
+            message = f"{name} must lie strictly inside (0, 1), got {edge!r}"
+        with pytest.raises(ValueError) as exc:
+            evaluate(Contest(0.4, bs))
+        assert str(exc.value) == message
+
+
+def test_field_whose_product_underflows():
+    # 0.01**256 underflows to 0, though no opponent is 0; the screen must not take it for one.
+    bs = (0.01,) * 256
+    assert math.prod(bs) == 0.0
+    for a in (0.5, 1e-300, NEAR_ONE):
+        for method, value in method_outcomes(a, bs, 0.5).items():
+            assert not out_of_bound(value, exact_p_n(a, bs)), (method, a, value)
