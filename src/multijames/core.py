@@ -180,6 +180,21 @@ def _james(a: float, b: float) -> float:
     return num / (num + b * (1.0 - a))
 
 
+def _interior_strengths(values: tuple[float, ...]) -> list[float] | None:
+    """q(b) = b/(1 - b) for each of checked values, or None where one of them is 0 or 1.
+
+    A value at 1 shows up as a division by zero, and one at 0 as a zero product;
+    a zero product may also be an underflow, so only then does the exact check run.
+    """
+    try:
+        strengths = [b / (1.0 - b) for b in values]
+    except ZeroDivisionError:
+        return None
+    if not math.prod(values) and 0.0 in values:
+        return None
+    return strengths
+
+
 def p_n(c: Contest) -> float:
     """Probability that the protagonist beats every opponent at once.
 
@@ -192,12 +207,8 @@ def p_n(c: Contest) -> float:
     only an opponent at 0 or 1 goes to classify_contest.
     """
     a, live = c.protagonist, c.opponents
-    try:
-        strengths = [b / (1.0 - b) for b in live]
-    except ZeroDivisionError:  # an opponent at 1
-        strengths = None
-    # A zero product may also be an underflow; then the exact check decides.
-    if strengths is None or not math.prod(live) and 0.0 in live:
+    strengths = _interior_strengths(live)
+    if strengths is None:
         cls = classify_contest(c)
         if cls is ContestClass.UNDEFINED:
             raise UndefinedContestError(
@@ -208,6 +219,7 @@ def p_n(c: Contest) -> float:
         # Zero opponents add nothing to the sum; they are dropped only so that a
         # contest with one nonzero opponent reduces to james_p bit for bit.
         live = [b for b in live if b != 0.0]
+        strengths = [b / (1.0 - b) for b in live]
     if len(live) == 1:
         return _james(a, live[0])
     # Each q(b_i) is bounded so long as b_i < 1, and fsum gives a correctly rounded

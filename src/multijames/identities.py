@@ -10,9 +10,9 @@ Odds are formed directly from the percentages through the strength
 q(b) = b/(1 - b), never as 1/p - 1 from a probability p, which cancels as p
 approaches 1, and no evaluator divides by zero on an interior input.  Every
 route but the product form needs each percentage strictly inside (0, 1) and
-makes one strength pass over the opponents, screened as :func:`core.p_n`
-screens its own: an opponent at 1 divides by zero, and one at 0 zeroes the
-product of the field.  Only a contest that fails the screen runs the
+makes one strength pass over the opponents, through the screen that
+:func:`core.p_n` uses: an opponent at 1 divides by zero, and one at 0 zeroes
+the product of the field.  Only a contest that fails the screen runs the
 per-value check, which names the first value outside.  A factor may leave
 the float range where the probability does not.  Scaling by a power of two
 is exact, so the product form and the expanded sum rescale only where a
@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from itertools import accumulate, chain, pairwise, repeat
+from itertools import accumulate, pairwise, repeat
 from operator import mul, truediv
 from typing import Sequence
 
-from .core import _TINY, Contest, UndefinedContestError, _checked_contest, p_n
+from .core import _TINY, Contest, UndefinedContestError, _checked_contest, _interior_strengths, p_n
 
 __all__ = [
     "odds_from_sum",
@@ -58,9 +58,9 @@ def _sum_odds(terms: list[float]) -> float:
 def _scaled_sum(terms: list[float], runs: list[tuple[int, int, int]]) -> tuple[float, int]:
     """Sum of terms[lo:hi] * 2**e over runs (lo, hi, e) that cover terms, as s * 2**top.
 
-    top is the largest e of a run with a nonzero term, else ValueError; the rest shift in place.
+    top is the largest e of a run with a nonzero term, else 0; the rest shift in place.
     """
-    top = max([e for lo, hi, e in runs if any(terms[lo:hi])])
+    top = max([e for lo, hi, e in runs if any(terms[lo:hi])], default=0)
     for lo, hi, e in runs:
         if e != top:
             terms[lo:hi] = map(math.ldexp, terms[lo:hi], repeat(e - top))
@@ -105,15 +105,10 @@ def _require_interior(value: float, name: str) -> float:
 
 def _strengths(c: Contest) -> list[float]:
     """q(b) = b/(1 - b) for each opponent of a contest that lies strictly inside (0, 1)."""
-    a, opps = c.protagonist, c.opponents
-    try:
-        q = [b / (1.0 - b) for b in opps]
-    except ZeroDivisionError:  # an opponent at 1
-        q = []
-    # A zero product may also be an underflow; then the exact check decides.
-    if not (0.0 < a < 1.0 and q and (math.prod(opps) or 0.0 not in opps)):
+    a, q = c.protagonist, _interior_strengths(c.opponents)
+    if q is None or not 0.0 < a < 1.0:  # only then name the first value outside
         _require_interior(a, "protagonist")
-        for b in opps:
+        for b in c.opponents:
             _require_interior(b, "opponent")
     return q
 
@@ -145,10 +140,9 @@ def p_n_product_form(c: Contest) -> float:
     for (lo, k), (hi, _) in pairwise([(0, 0), *steps, (n + 1, 0)]):
         e += k
         runs.append((lo, hi, e))
-    try:
-        total, top = _scaled_sum(terms, runs)
-    except ValueError:  # every term is 0: all percentages are 0, or two are 1
-        raise UndefinedContestError("probability undefined for this contest") from None
+    total, _ = _scaled_sum(terms, runs)
+    if not total:  # every term is 0: all percentages are 0, or two are 1
+        raise UndefinedContestError("probability undefined for this contest")
     return terms[-1] / total  # the numerator, shifted as the sum took it
 
 
@@ -181,16 +175,12 @@ def p_n_substitution(c: Contest, pivot: float) -> float:
 def validate_partition(blocks: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...], ...]:
     """Check that blocks are nonempty, disjoint, and cover the indices 0..n-1."""
     normalized = tuple(map(tuple, blocks))
-    flat = [*chain.from_iterable(normalized)]
-    # Only ints sum to an int; the set comparison alone would take 1.0 for the index 1.
-    if all(normalized) and len(flat) == n and set(flat) == set(range(n)) and type(sum(flat)) is int:
-        return normalized
     seen: set[int] = set()
     for block in normalized:
         if not block:
             raise ValueError("partition blocks must be nonempty")
         for idx in block:
-            if not hasattr(idx, "__index__"):
+            if not isinstance(idx, int) and not hasattr(idx, "__index__"):  # ints skip the lookup
                 raise ValueError(f"partition index {idx!r} is not an integer")
             if not 0 <= idx < n:
                 raise ValueError(f"partition index {idx} outside 0..{n - 1}")

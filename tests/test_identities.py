@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -227,11 +228,14 @@ class TestPartition:
             ([[0], [1.5]], "partition index 1.5 is not an integer"),
             ([[0, 1.0]], "partition index 1.0 is not an integer"),
             ([(0, 1.5)], "partition index 1.5 is not an integer"),
+            ([[0, [1]]], "partition index [1] is not an integer"),
+            ([[Decimal(0), 1.0]], "partition index Decimal('0') is not an integer"),
         ],
     )
     def test_validate_partition_messages(self, blocks, message):
         # A set comparison takes 1.0 for 1, and validate_partition once accepted
-        # [(0, 1.5)] for n = 2, although index 1 is never covered.
+        # [(0, 1.5)] for n = 2, although index 1 is never covered.  An unhashable
+        # or a Decimal index is named too, not left to raise a TypeError.
         with pytest.raises(ValueError) as exc:
             validate_partition(blocks, 2)
         assert str(exc.value) == message
