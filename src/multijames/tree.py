@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from .core import GraphError, _Value
+from .core import GraphError, _Value, _setattr
 
 __all__ = [
     "AnchorBoundaryError",
@@ -55,12 +55,12 @@ class PairwiseEdge(_Value):
             raise GraphError("edge endpoints must be nonempty names")
         if u == v:
             raise SelfLoopError(f"self-loop at {u!r}")
-        p = float(p_u_beats_v)
-        if not 0.0 < p < 1.0:  # nan fails both comparisons
-            raise GraphError(
-                f"edge probability must lie strictly inside (0, 1), got {p_u_beats_v!r}"
-            )
-        self._init(u, v, p)
+        if not 0.0 < (p := float(p_u_beats_v)) < 1.0:  # nan fails both comparisons
+            raise GraphError("edge probability must lie strictly inside (0, 1), "
+                             f"got {p_u_beats_v!r}")
+        _setattr(self, "u", u)
+        _setattr(self, "v", v)
+        _setattr(self, "p_u_beats_v", p)
 
 
 class CompetitionGraph(_Value):
@@ -99,7 +99,7 @@ class CompetitionGraph(_Value):
         if len(x) < len(adj):
             raise DisconnectedError(adj.keys() - x.keys(), root)
         self._init(root, edges, frozenset(adj))
-        object.__setattr__(self, "_x", x)
+        _setattr(self, "_x", x)
 
     def __reduce__(self):
         # The fields alone: construction checks the tree again and rebuilds ``_x``.

@@ -12,6 +12,7 @@ with the canonical family.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from array import array
 from bisect import bisect_right
@@ -275,13 +276,23 @@ class GridFamily(CandidateFamily):
 # Check machinery
 
 
+def _integer(value, name: str) -> int:
+    """``operator.index(value)``, or a ValueError that names the value."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 class SampleSpec(_Value):
     __slots__ = _fields = ("n_values", "points", "seed", "tolerance")
 
     def __init__(self, n_values: tuple[int, ...] = (1, 2, 3, 4), points: int = 250,
                  seed: int = 0, tolerance: float = 1e-9) -> None:
+        points = _integer(points, "samples per opponent count")
         if points < 1:
             raise ValueError(f"samples per opponent count must be at least 1, got {points}")
+        n_values = tuple(_integer(n, "opponent count") for n in n_values)
         if not n_values or min(n_values) < 1:
             raise ValueError(
                 f"opponent counts must be a nonempty list of n >= 1, got {list(n_values)}"

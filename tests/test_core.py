@@ -3,6 +3,7 @@ import itertools
 import math
 import pickle
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -23,8 +24,9 @@ from multijames import (
 
 import multijames.core as core
 from multijames.core import _check_pct
+from multijames.tree import GraphError, PairwiseEdge
 
-from _domain import CORE_STRATA, draw
+from _domain import CORE_STRATA, EDGE_PCTS, below, draw, near_one, one_of, subnormal, unit
 from _oracles import (
     exact_complement_solution,
     exact_james,
@@ -534,3 +536,127 @@ def test_p_n_checks_no_value_again(monkeypatch):
     for name in ("james_p", "_check_pct", "_check_pcts"):
         monkeypatch.setattr(core, name, forbidden)
     assert [outcome(c) for c in contests] == expected
+
+
+# Values of every kind a caller may hand over, valid or not, for the entry checks.
+ODD_INPUTS = [
+    0.5, 0.0, -0.0, 1.0, 5e-324, 1.0 - 2.0**-53, math.nan, math.inf, -math.inf, -0.1,
+    1.0 + 2.0**-52, 0, 1, 2, -1, True, False, np.float64(0.375), np.float64(-0.0),
+    np.float64(math.nan), np.float32(0.25), np.int64(1), np.int64(0), Fraction(1, 3),
+    Fraction(3, 2), Decimal("0.25"), Decimal("NaN"), "0.125", "1", "abc", "", None, [0.5],
+]
+
+
+def shape(value):
+    """A value with its type, and a float's sign and every bit."""
+    if isinstance(value, tuple):
+        return tuple(map(shape, value))
+    return type(value), value.hex() if type(value) is float else repr(value)
+
+
+def outcome(thunk):
+    try:
+        return "ok", shape(thunk())
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def reference_james(a, b):
+    """james_p through the per-value checks, as it ran before its inline test."""
+    a, b = _check_pct(a, "a"), _check_pct(b, "b")
+    if a == b and (a == 0.0 or a == 1.0):
+        raise UndefinedContestError(f"probability undefined for a = b = {a}")
+    return core._james(a, b)
+
+
+def reference_edge(u, v, p):
+    p = float(p)
+    if not 0.0 < p < 1.0:
+        raise GraphError(f"edge probability must lie strictly inside (0, 1), got {p!r}")
+    return u, v, p
+
+
+@pytest.mark.parametrize("x", ODD_INPUTS, ids=repr)
+def test_inline_checks_match_the_per_value_path(x):
+    """Contest, james_p and PairwiseEdge store what the per-value checks store and
+    raise their first message, whatever the type of the value."""
+    for field in ((x,), (0.25, x), (x, 0.75), (x, 2), (x, math.nan), (0.25, 0.5, x, 0.0)):
+        expected = outcome(lambda: reference_contest(0.5, field))
+        for arg in (field, list(field), (v for v in field)):
+            got = outcome(lambda: (lambda c: (c.protagonist, c.opponents))(Contest(0.5, arg)))
+            assert got == expected
+    assert outcome(lambda: Contest(x, (0.5,)).protagonist) == outcome(
+        lambda: _check_pct(x, "protagonist"))
+    for a, b in ((x, 0.25), (0.25, x), (x, x), (x, math.nan), (0.0, x), (x, 1.0)):
+        assert outcome(lambda: james_p(a, b)) == outcome(lambda: reference_james(a, b))
+    expected = outcome(lambda: reference_edge("u", "v", x))
+    if expected[0] is GraphError:  # the edge names the value as the caller gave it
+        expected = GraphError, f"edge probability must lie strictly inside (0, 1), got {x!r}"
+    edge = outcome(lambda: (lambda e: (e.u, e.v, e.p_u_beats_v))(PairwiseEdge("u", "v", x)))
+    assert edge == expected
+
+
+def test_exact_floats_in_range_skip_the_per_value_check(monkeypatch):
+    """An exact float in range never reaches _check_pct: Contest, james_p or PairwiseEdge."""
+    def refuse(value, name="winning percentage"):
+        raise AssertionError(f"{name} {value!r} went to the per-value check")
+
+    monkeypatch.setattr(core, "_check_pct", refuse)
+    ends = (0.0, -0.0, 5e-324, 2.0**-1022, 0.5, 1.0 - 2.0**-53, 1.0)
+    field = ends[2:]  # opponents in (0, 1]; a zero sends the field to the per-value loop
+    for a in ends:
+        for opps in (field, list(field), field[::-1], (1.0,), (0.5,) * 256):
+            assert Contest(a, opps).opponents == tuple(opps)
+        for b in ends:
+            try:
+                assert 0.0 <= james_p(a, b) <= 1.0
+            except UndefinedContestError:
+                assert a == b and a in (0.0, 1.0)
+    for p in field[:-1]:
+        assert PairwiseEdge("u", "v", p).p_u_beats_v == p
+    assert Contest(0.5, field).opponents is field  # stored as given, uncopied
+
+
+LEVEL_SEED = 23
+LEVEL_PAIRS = 20000
+# level_transform's documented bound: four roundings of 2**-53 relative, and the last
+# rounding on the subnormal grid, half a step, absolute.
+LEVEL_REL_BOUND = Fraction(5, 10**16)
+LEVEL_ABS_BOUND = Fraction(2) ** -1075
+LEVEL_STRATA = [
+    (0.15, one_of(EDGE_PCTS)),
+    (0.30, subnormal),
+    (0.55, below(300.0)),
+    (0.80, near_one(16.0)),
+    (1.0, unit),
+]
+
+
+def exact_level_transform(s, t) -> Fraction:
+    s, t = Fraction(s), Fraction(t)
+    return t * s / ((1 - s) + t * s)
+
+
+def assert_level_transform_within_bound(s, t):
+    got, exact = level_transform(s, t), exact_level_transform(s, t)
+    assert abs(Fraction(got) - exact) <= LEVEL_REL_BOUND * exact + LEVEL_ABS_BOUND, (
+        s, t, got, float(exact))
+
+
+@pytest.mark.parametrize(
+    "s, t",
+    [(1.0, 1e-17), (1.0 - 2.0**-53, 2.0**-60), (1.0 - 1e-10, 1.2345e-320),
+     (5e-324, 5e-324), (0.5, 1.7e308), (2.0**-1022, 2.0**-60)],
+)
+def test_level_transform_where_t_s_is_tiny(s, t):
+    """t*s below 2**-53 once vanished beside 1 + (t - 1)*s, or divided by zero; t*s
+    rounded on the subnormal grid and divided by a small 1 - s loses its precision."""
+    assert_level_transform_within_bound(s, t)
+
+
+def test_level_transform_full_domain():
+    rng = random.Random(LEVEL_SEED)
+    for _ in range(LEVEL_PAIRS):
+        s = draw(rng, LEVEL_STRATA)
+        t = math.ldexp(rng.uniform(0.5, 1.0), rng.randrange(-1073, 1024))
+        assert_level_transform_within_bound(s, t)

@@ -381,6 +381,34 @@ class TestReportShape:
         ]
 
 
+class TestSampleSpec:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"points": 2.5}, "samples per opponent count must be an integer, got 2.5"),
+            ({"points": math.nan}, "samples per opponent count must be an integer, got nan"),
+            ({"points": "3"}, "samples per opponent count must be an integer, got '3'"),
+            ({"points": 0}, "samples per opponent count must be at least 1, got 0"),
+            ({"n_values": (1.5,)}, "opponent count must be an integer, got 1.5"),
+            ({"n_values": (1, 2.0)}, "opponent count must be an integer, got 2.0"),
+            ({"n_values": (None,)}, "opponent count must be an integer, got None"),
+            ({"n_values": ()}, "opponent counts must be a nonempty list of n >= 1, got []"),
+            ({"n_values": (2, 0)}, "opponent counts must be a nonempty list of n >= 1, got [2, 0]"),
+        ],
+    )
+    def test_bad_counts_raise_on_entry(self, kwargs, message):
+        with pytest.raises(ValueError) as exc:
+            SampleSpec(**kwargs)
+        assert str(exc.value) == message
+
+    def test_counts_stored_as_int_tuple(self):
+        spec = SampleSpec(n_values=(n for n in (np.int64(1), 3)), points=np.int64(5))
+        assert spec.n_values == (1, 3) and spec.points == 5
+        assert type(spec.n_values) is tuple
+        assert [type(v) for v in (*spec.n_values, spec.points)] == [int] * 3
+        assert len(run_all_checks(CanonicalFamily(), spec)) == 12
+
+
 def _raises_at_three(a, opponents):
     if len(opponents) == 3:
         raise RuntimeError("no member for n = 3")
