@@ -569,10 +569,10 @@ def reference_james(a, b):
     return core._james(a, b)
 
 
-def reference_edge(u, v, p):
-    p = float(p)
+def reference_edge(u, v, x):
+    p = float(x)
     if not 0.0 < p < 1.0:
-        raise GraphError(f"edge probability must lie strictly inside (0, 1), got {p!r}")
+        raise GraphError(f"edge probability must lie strictly inside (0, 1), got {x!r}")
     return u, v, p
 
 
@@ -589,11 +589,8 @@ def test_inline_checks_match_the_per_value_path(x):
         lambda: _check_pct(x, "protagonist"))
     for a, b in ((x, 0.25), (0.25, x), (x, x), (x, math.nan), (0.0, x), (x, 1.0)):
         assert outcome(lambda: james_p(a, b)) == outcome(lambda: reference_james(a, b))
-    expected = outcome(lambda: reference_edge("u", "v", x))
-    if expected[0] is GraphError:  # the edge names the value as the caller gave it
-        expected = GraphError, f"edge probability must lie strictly inside (0, 1), got {x!r}"
     edge = outcome(lambda: (lambda e: (e.u, e.v, e.p_u_beats_v))(PairwiseEdge("u", "v", x)))
-    assert edge == expected
+    assert edge == outcome(lambda: reference_edge("u", "v", x))
 
 
 def test_exact_floats_in_range_skip_the_per_value_check(monkeypatch):
