@@ -18,7 +18,8 @@ import sys
 from . import __version__
 from .core import Contest, GraphError, UndefinedContestError, p_n
 from .identities import (
-    odds_from_sum,
+    _p_from_odds,
+    _sum_parts,
     p_n_expanded_sum,
     p_n_partitioned,
     p_n_product_form,
@@ -38,7 +39,7 @@ EXIT_PARSE = 4
 METHODS = {
     "direct": lambda c, pivot, blocks: p_n(c),
     "product": lambda c, pivot, blocks: p_n_product_form(c),
-    "sum": lambda c, pivot, blocks: 1.0 / (1.0 + odds_from_sum(c)),
+    "sum": lambda c, pivot, blocks: _p_from_odds(*_sum_parts(c)),
     "substitution": lambda c, pivot, blocks: p_n_substitution(c, pivot),
     "reduction": lambda c, pivot, blocks: p_n_reduction(c),
     "shifted": lambda c, pivot, blocks: p_n_shifted_sum(c),

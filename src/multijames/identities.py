@@ -15,16 +15,16 @@ makes one strength pass over the opponents, through the screen that
 the product of the field.  Only a contest that fails the screen runs the
 per-value check, which names the first value outside.  A factor may leave
 the float range where the probability does not.  Scaling by a power of two
-is exact, so the product form and the expanded sum rescale only where a
-value would leave the normal range, and substitution and the shifted sum
-carry their few factors as ``math.frexp`` mantissas and exponents.
+is exact, so each route rescales only where a value would leave the normal
+range, and every route but the product form ends through one range-safe
+step that takes the odds as a sum and a power of two, never as inf.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from itertools import accumulate, pairwise, repeat
+from itertools import accumulate
 from operator import mul, truediv
 from typing import Sequence
 
@@ -44,35 +44,16 @@ __all__ = [
 _LIFT_EXP = 974
 _LIFT = 2.0**_LIFT_EXP  # exact on [0, 1]; lifts every subnormal into the normal range
 _FLOOR = 2.0**-300  # a run of products restarts below this
-_GUARD = 2.0**-900  # the expanded sum lifts a strength below this
+_GUARD = 2.0**-900  # the sum lifts a protagonist, and the expanded sum a strength, below this
 
 
-def _sum_odds(terms: list[float]) -> float:
-    """fsum of nonnegative odds; inf where the total overflows, so 1/(1 + odds) is 0."""
+def _p_from_odds(s: float, e: int) -> float:
+    """1/(1 + odds) for odds s * 2**e, with s finite and >= 0; 1.0 for s = 0."""
     try:
-        return math.fsum(terms)
-    except OverflowError:  # fsum raises rather than round a finite total to inf
-        return math.inf
-
-
-def _scaled_sum(terms: list[float], runs: list[tuple[int, int, int]]) -> tuple[float, int]:
-    """Sum of terms[lo:hi] * 2**e over runs (lo, hi, e) that cover terms, as s * 2**top.
-
-    top is the largest e of a run with a nonzero term, else 0; the rest shift in place.
-    """
-    top = max([e for lo, hi, e in runs if any(terms[lo:hi])], default=0)
-    for lo, hi, e in runs:
-        if e != top:
-            terms[lo:hi] = map(math.ldexp, terms[lo:hi], repeat(e - top))
-    return math.fsum(terms), top
-
-
-def _p_from_odds(m: float, e: int) -> float:
-    """1/(1 + odds) for odds m * 2**e, where m > 0 and 1/m is finite."""
-    if e > 0:  # invert first, so that no ldexp overflows
-        inverse = math.ldexp(1.0 / m, -e)
-        return inverse / (1.0 + inverse)
-    return 1.0 / (1.0 + math.ldexp(m, e))
+        return 1.0 / (1.0 + math.ldexp(s, e))
+    except OverflowError:  # ldexp raises rather than round to inf; 1 + odds rounds to the odds
+        m, k = math.frexp(s)
+        return math.ldexp(1.0 / m, -e - k)
 
 
 def _products(factors: list[float]) -> tuple[list[float], list[tuple[int, int]]]:
@@ -125,7 +106,8 @@ def p_n_product_form(c: Contest) -> float:
     not underflow.  With a and each b_j scaled by 2**974, which is exact,
     and every product kept in [2**-353, 1] by restarting its run, each term
     lies in [2**-859, 2**974]: the terms between two restarts share one
-    power of two, and only those of another run are shifted before one fsum.
+    power of two, and only where a run restarts are they shifted before one
+    fsum.  Numerator over total needs no case for a numerator of 0.
     """
     n, factors = c.n, [1.0 - b for b in c.opponents]
     pre, restarts = _products(factors)
@@ -133,26 +115,42 @@ def p_n_product_form(c: Contest) -> float:
     scale = _LIFT * (1.0 - c.protagonist)
     terms = [s * (b * scale * p) for s, b, p in zip(suf[-2::-1], c.opponents, pre)]
     terms.append(c.protagonist * _LIFT * pre[-1])
-    # Up to one common factor, term j (the numerator is term n) carries 2**e, where e sums the
-    # restarts of pre at j or before and takes off each of suf at i from j = n - i on.
-    steps = sorted(restarts + [(n - i, -k) for i, k in suf_restarts])
-    e, runs = 0, []
-    for (lo, k), (hi, _) in pairwise([(0, 0), *steps, (n + 1, 0)]):
-        e += k
-        runs.append((lo, hi, e))
-    total, _ = _scaled_sum(terms, runs)
+    if restarts or suf_restarts:
+        # Up to one common factor, term j (the numerator is term n) carries 2**e, where e sums the
+        # restarts of pre at j or before and takes off each of suf at i from j = n - i on.
+        steps = [0] * (n + 1)
+        for j, k in restarts + [(n - i, -k) for i, k in suf_restarts]:
+            steps[j] += k
+        exps = list(accumulate(steps))
+        top = max([e for e, t in zip(exps, terms) if t], default=0)
+        terms = list(map(math.ldexp, terms, [e - top for e in exps]))
+    total = math.fsum(terms)
     if not total:  # every term is 0: all percentages are 0, or two are 1
         raise UndefinedContestError("probability undefined for this contest")
     return terms[-1] / total  # the numerator, shifted as the sum took it
 
 
+def _sum_parts(c: Contest, fields: list[float] | None = None) -> tuple[float, int]:
+    """The odds against a, sum of (1 - a) v/a over fields (default: each q(b)), as s * 2**e.
+
+    Below 2**-900, a is lifted by 2**974, exactly, so no term overflows; a term that
+    then rounds below 2**-1022 moves the probability by under 2**-101, relative.
+    """
+    q = _strengths(c) if fields is None else fields
+    a = c.protagonist
+    e = _LIFT_EXP if a < _GUARD else 0
+    lose, lifted = 1.0 - a, math.ldexp(a, e)
+    return math.fsum([v * lose / lifted for v in q]), e
+
+
 def odds_from_sum(c: Contest) -> float:
-    """Sum Formula: the odds against the protagonist, as a sum over opponents."""
-    q = _strengths(c)
-    a, lose = c.protagonist, 1.0 - c.protagonist
-    # Each pair's odds b(1 - a)/(a(1 - b)) as q(b)(1 - a)/a, which divides only by a
-    # and overflows only where the odds themselves do.
-    return _sum_odds([v * lose / a for v in q])
+    """Sum Formula: the odds against the protagonist, as a sum over opponents.
+
+    inf where the odds leave the float range; the CLI's ``sum`` method ends the
+    same parts through the range-safe step instead.
+    """
+    s, e = _sum_parts(c)
+    return s * 2.0**e  # e is 0 or 974, and the product rounds to inf past the float range
 
 
 def p_n_substitution(c: Contest, pivot: float) -> float:
@@ -197,10 +195,8 @@ def p_n_partitioned(c: Contest, blocks: Sequence[Sequence[int]]) -> float:
     """Partitioned sum formula: odds add across any split of the opponent set."""
     q = _strengths(c)
     parts = validate_partition(blocks, c.n)
-    a = c.protagonist
     # Each block's odds against a, met as a whole field: (1 - a) sum q(b_i) / a.
-    odds = _sum_odds([math.fsum([q[i] for i in block]) * (1.0 - a) / a for block in parts])
-    return 1.0 / (1.0 + odds)
+    return _p_from_odds(*_sum_parts(c, [math.fsum([q[i] for i in b]) for b in parts]))
 
 
 def p_n_reduction(c: Contest) -> float:
@@ -222,7 +218,10 @@ def p_n_reduction(c: Contest) -> float:
             f"reduction: the first opponent beats the rest with probability {p_rest!r}, "
             "below 2**-1022; put a stronger opponent first"
         )
-    return 1.0 / (1.0 + b1 / (1.0 - b1) * (1.0 - a) / a / p_rest)
+    # The odds q(b_1)(1 - a)/a / p_rest from the mantissas, none of which is subnormal.
+    q_m, q_e = math.frexp(b1 / (1.0 - b1))
+    (a_m, a_e), (r_m, r_e) = math.frexp(a), math.frexp(p_rest)
+    return _p_from_odds(q_m * (1.0 - a) / a_m / r_m, q_e - a_e - r_e)
 
 
 def p_n_shifted_sum(c: Contest) -> float:
@@ -235,8 +234,7 @@ def p_n_shifted_sum(c: Contest) -> float:
     q = _strengths(c)
     (a_m, a_e), (b1_m, _) = map(math.frexp, (c.protagonist / (1.0 - c.protagonist), q[0]))
     unit = math.ldexp(b1_m, -54)  # so the j = 1 term, 2**(k + 54), is the exact 1
-    m, e = math.frexp(math.fsum([v / unit for v in q]))
-    return _p_from_odds(m * b1_m / a_m, e - 54 - a_e)
+    return _p_from_odds(math.fsum([v / unit for v in q]) * b1_m / a_m, -54 - a_e)
 
 
 def p_n_expanded_sum(c: Contest) -> float:
@@ -246,16 +244,16 @@ def p_n_expanded_sum(c: Contest) -> float:
     strength below 2**-900 is first lifted by 2**974, exactly, so every
     strength lies in [2**-900, 2**74] and every ratio and term in
     [2**-974, 2**974].  Term k then carries 2**(974 (l_0 - l_k)) for the
-    lifts l_0 of a and l_k of b_k, which the scaled sum undoes.
+    lifts l_0 of a and l_k of b_k, taken as 2**(974 l_0) for the sum and
+    2**-974 for each lifted b_k's term; one that rounds below 2**-1022 moves the
+    probability by under 2**-101, relative.
     """
     q = _strengths(c)
     q.insert(0, c.protagonist / (1.0 - c.protagonist))
-    runs = [(0, c.n, 0)]
-    if min(q) < _GUARD:
-        low = [v < _GUARD for v in q]
-        q = [v * _LIFT if up else v for v, up in zip(q, low)]
-        runs = [(j, j + 1, _LIFT_EXP * (low[0] - up)) for j, up in enumerate(low[1:])]
-    terms = list(accumulate(map(truediv, q[1:], q), mul))
-    total, top = _scaled_sum(terms, runs)
-    m, e = math.frexp(total)
-    return _p_from_odds(m, e + top)
+    if min(q) >= _GUARD:
+        return _p_from_odds(math.fsum(accumulate(map(truediv, q[1:], q), mul)), 0)
+    low = [v < _GUARD for v in q]
+    q = [v * _LIFT if up else v for v, up in zip(q, low)]
+    terms = accumulate(map(truediv, q[1:], q), mul)
+    return _p_from_odds(math.fsum([t / _LIFT if up else t for t, up in zip(terms, low[1:])]),
+                        _LIFT_EXP * low[0])

@@ -19,7 +19,6 @@ from bisect import bisect_right
 from typing import Callable, Mapping, Sequence
 
 from .core import Contest, UndefinedContestError, _Value, _checked_contest, james_p, p_n, strength
-from .identities import _sum_odds
 
 __all__ = [
     "CandidateFamily",
@@ -297,7 +296,11 @@ class SampleSpec(_Value):
             raise ValueError(
                 f"opponent counts must be a nonempty list of n >= 1, got {list(n_values)}"
             )
-        if not 0.0 <= tolerance < math.inf:
+        try:
+            finite = 0.0 <= tolerance < math.inf
+        except TypeError:  # not a number, such as None or a string
+            finite = False
+        if not finite:
             raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
         self._init(n_values, points, seed, tolerance)
 
@@ -466,7 +469,10 @@ def check_uniqueness_properties(f: CandidateFamily, spec: SampleSpec) -> list[Ch
     def sum_formula(rng, n):
         a = _uniform(rng)
         bs = [_uniform(rng) for _ in range(n)]
-        rhs = 1.0 / (1.0 + _sum_odds([_odds(j1(a, b)) for b in bs]))
+        try:
+            rhs = 1.0 / (1.0 + math.fsum([_odds(j1(a, b)) for b in bs]))
+        except OverflowError:  # fsum raises rather than round a finite total to inf
+            rhs = 0.0
         return abs(f(a, bs) - rhs), (a, *bs)
 
     def substitution(rng, n):

@@ -180,17 +180,31 @@ class TestPredict:
         assert payload["probability"] == pytest.approx(expected, rel=1e-9, abs=0.0)
         assert err == ""
 
-    @pytest.mark.parametrize("how", [("--method", "reduction"), ("--all-methods",)])
+    @pytest.mark.parametrize(
+        "how",
+        [
+            ("-a", "5e-324", "-b", "0.555346112404169", "--method", "reduction"),
+            ("-a", "5e-324", "-b", "0.555346112404169", "--all-methods"),
+            # Sum, partition and reduction printed 0.0 for this one, with exit 0.
+            *[
+                ("-a", "1e-310", "-b", "0.5868054142911576,5e-324", *method)
+                for method in (("--method", "sum"), ("--method", "partition"),
+                               ("--method", "reduction"), ("--all-methods",))
+            ],
+            # q(b)/a of two subnormals is exact, 1/3; dividing q(b) by a's frexp
+            # mantissa first would round it on the subnormal grid, to 1/4.
+            ("-a", "1.5e-323", "-b", "5e-324", "--all-methods"),
+        ],
+    )
     def test_subnormal_protagonist_every_method(self, capsys, how):
-        # The odds against a overflow to inf here; 1/p - 1 divided by zero.
-        code, payload, err = run_json(
-            capsys, "predict", "-a", "5e-324", "-b", "0.555346112404169", *how
-        )
+        # The odds against a subnormal a may leave the float range; 1/p - 1 divided by zero.
+        code, payload, err = run_json(capsys, "predict", *how)
         assert code == 0 and err == ""
-        exact = exact_p_n(5e-324, (0.555346112404169,))
+        exact = exact_p_n(float(how[1]), tuple(map(float, how[3].split(","))))
         values = payload["methods"].values() if "methods" in payload else [payload["probability"]]
         for value in values:
-            assert abs(Fraction(value) - exact) <= 2.0**-1022
+            assert abs(Fraction(value) - exact) <= 2.0**-1074
+        assert payload.get("max_discrepancy", 0.0) <= 2.0**-1074
 
     def test_near_one_pairwise_probabilities(self, capsys):
         # reduction, shifted and expanded returned about 1.0 for about 3e-13.

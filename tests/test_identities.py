@@ -154,13 +154,13 @@ class TestSumFormula:
         assert str(exc.value) == f"opponent must lie strictly inside (0, 1), got {edge!r}"
 
     def test_overflowing_total(self):
-        # Each term is near the largest float, so fsum's total overflows.  The
-        # exact probability, 4.1e-309, is then within 2**-1022 of 0.0.
+        # The odds against a exceed the largest float, so odds_from_sum returns inf, while
+        # every method, sum included, still returns the exact 4.1e-309 to one subnormal step.
         a, bs = 1.300396413717238e-308, (0.6995037488483575, 0.0677, 0.2476, 0.2909)
         assert odds_from_sum(Contest(a, bs)) == math.inf
         exact = exact_p_n(a, bs)
         for evaluate in cli.METHODS.values():
-            assert abs(Fraction(evaluate(Contest(a, bs), 0.5, None)) - exact) <= 2.0**-1022
+            assert abs(Fraction(evaluate(Contest(a, bs), 0.5, None)) - exact) <= 2.0**-1074
 
 
 class TestSubstitution:
@@ -515,9 +515,9 @@ def test_every_method_near_both_ends():
 
 # Every cli.METHODS evaluator returns P_n within this bound of the exact value, or
 # raises its documented ValueError; none returns a NaN.  The absolute part is one
-# step of the smallest normal, below which a probability carries no relative precision.
+# subnormal step, so a probability below 2**-1022 may not read as 0.0.
 METHOD_REL_BOUND = Fraction(1e-9)
-METHOD_ABS_BOUND = Fraction(2.0**-1022)
+METHOD_ABS_BOUND = Fraction(2.0**-1074)
 
 
 def method_outcomes(a, bs, pivot):

@@ -394,6 +394,9 @@ class TestSampleSpec:
             ({"n_values": (None,)}, "opponent count must be an integer, got None"),
             ({"n_values": ()}, "opponent counts must be a nonempty list of n >= 1, got []"),
             ({"n_values": (2, 0)}, "opponent counts must be a nonempty list of n >= 1, got [2, 0]"),
+            ({"tolerance": None}, "tolerance must be finite and >= 0, got None"),
+            ({"tolerance": "1e-9"}, "tolerance must be finite and >= 0, got '1e-9'"),
+            ({"tolerance": [1]}, "tolerance must be finite and >= 0, got [1]"),
         ],
     )
     def test_bad_counts_raise_on_entry(self, kwargs, message):
