@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from itertools import accumulate
+from itertools import accumulate, pairwise, repeat
 from operator import mul, truediv
 from typing import Sequence
 
@@ -118,12 +118,15 @@ def p_n_product_form(c: Contest) -> float:
     if restarts or suf_restarts:
         # Up to one common factor, term j (the numerator is term n) carries 2**e, where e sums the
         # restarts of pre at j or before and takes off each of suf at i from j = n - i on.
-        steps = [0] * (n + 1)
-        for j, k in restarts + [(n - i, -k) for i, k in suf_restarts]:
-            steps[j] += k
-        exps = list(accumulate(steps))
-        top = max([e for e, t in zip(exps, terms) if t], default=0)
-        terms = list(map(math.ldexp, terms, [e - top for e in exps]))
+        cuts = sorted(restarts + [(n - i, -k) for i, k in suf_restarts])
+        e, runs = 0, []
+        for (lo, k), (hi, _) in pairwise([(0, 0), *cuts, (n + 1, 0)]):
+            e += k
+            runs.append((lo, hi, e))
+        top = max([e for lo, hi, e in runs if any(terms[lo:hi])], default=0)
+        for lo, hi, e in runs:
+            if e != top:  # shift to the largest power of two that a nonzero term carries
+                terms[lo:hi] = map(math.ldexp, terms[lo:hi], repeat(e - top))
     total = math.fsum(terms)
     if not total:  # every term is 0: all percentages are 0, or two are 1
         raise UndefinedContestError("probability undefined for this contest")
