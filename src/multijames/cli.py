@@ -26,6 +26,7 @@ from .identities import (
     p_n_reduction,
     p_n_shifted_sum,
     p_n_substitution,
+    validate_partition,
 )
 
 EXIT_OK = 0
@@ -70,7 +71,10 @@ def _emit(payload: dict | str, fmt: str) -> None:
     if isinstance(payload, str):
         text = payload
     elif fmt == "json":
-        text = json.dumps(_strict(payload), indent=2, sort_keys=True, allow_nan=False)
+        try:
+            text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError:  # a non-finite float: only then copy the report to spell it
+            text = json.dumps(_strict(payload), indent=2, sort_keys=True, allow_nan=False)
     else:
         lines = []  # str of a float is its repr
         for key, value in payload.items():
@@ -95,10 +99,10 @@ def _parse_percent_list(text: str) -> tuple[float, ...]:
 
 
 def _parse_blocks(text: str) -> list[list[int]]:
-    """Parse 1-based partition syntax like '1,2|3' into 0-based blocks."""
+    """Parse 1-based partition syntax like '1,2|3' into blocks of the indices as typed."""
     try:
         return [
-            [int(idx) - 1 for idx in chunk.split(",") if idx.strip() != ""]
+            [int(idx) for idx in chunk.split(",") if idx.strip() != ""]
             for chunk in text.split("|")
         ]
     except ValueError:
@@ -108,6 +112,9 @@ def _parse_blocks(text: str) -> list[list[int]]:
 def cmd_predict(args) -> int:
     contest = Contest(args.protagonist, _parse_percent_list(args.opponents))
     blocks = _parse_blocks(args.blocks) if args.blocks else None
+    if blocks and (args.all_methods or args.method == "partition"):
+        # Checked as typed, so that a message names the index the user wrote.
+        blocks = [[i - 1 for i in b] for b in validate_partition(blocks, contest.n, first=1)]
     if args.all_methods:
         values = {m: f(contest, args.pivot, blocks) for m, f in METHODS.items()}
         spread = max(values.values()) - min(values.values())

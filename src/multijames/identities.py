@@ -16,15 +16,14 @@ the product of the field.  Only a contest that fails the screen runs the
 per-value check, which names the first value outside.  A factor may leave
 the float range where the probability does not.  Scaling by a power of two
 is exact, so each route rescales only where a value would leave the normal
-range, and every route but the product form ends through one range-safe
-step that takes the odds as a sum and a power of two, never as inf.
+range, and every route ends through one range-safe step that takes the odds
+as a sum and a power of two, never as inf.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from itertools import accumulate, pairwise, repeat
+from itertools import accumulate
 from operator import mul, truediv
 from typing import Sequence
 
@@ -43,7 +42,7 @@ __all__ = [
 
 _LIFT_EXP = 974
 _LIFT = 2.0**_LIFT_EXP  # exact on [0, 1]; lifts every subnormal into the normal range
-_FLOOR = 2.0**-300  # a run of products restarts below this
+_TOP, _LOW, _RAISE = 2.0**900, 2.0**200, 2.0**700  # the product form's range for p
 _GUARD = 2.0**-900  # the sum lifts a protagonist, and the expanded sum a strength, below this
 
 
@@ -54,28 +53,6 @@ def _p_from_odds(s: float, e: int) -> float:
     except OverflowError:  # ldexp raises rather than round to inf; 1 + odds rounds to the odds
         m, k = math.frexp(s)
         return math.ldexp(1.0 / m, -e - k)
-
-
-def _products(factors: list[float]) -> tuple[list[float], list[tuple[int, int]]]:
-    """Products of factors[:j] for j = 0..n, each factor in [0, 1], in runs of plain floats.
-
-    Where the products fall below 2**-300 they restart from the ``frexp`` mantissa
-    m * 2**e of the product at j; ``restarts`` lists each such (j, e), and values[j:]
-    then stand for their products times 2**e.  A nonzero value thus lies in
-    [2**-353, 1] and has the significand that renormalizing at every step would
-    give.  After a zero factor every product is 0, and none restarts.
-    """
-    values = [1.0, *accumulate(factors, mul)]
-    restarts = []
-    j = 0
-    while values[-1] < _FLOOR:
-        j = bisect_left(values, True, j + 1, key=_FLOOR.__gt__)  # the products never rise
-        if not values[j]:
-            break
-        m, e = math.frexp(values[j])
-        values[j:] = accumulate(factors[j:], mul, initial=m)
-        restarts.append((j, e))
-    return values, restarts
 
 
 def _require_interior(value: float, name: str) -> float:
@@ -97,40 +74,44 @@ def _strengths(c: Contest) -> list[float]:
 def p_n_product_form(c: Contest) -> float:
     """Literal product-form evaluation, the direct analog of the log5 fraction.
 
-    Numerator a * prod(1-b_i); denominator adds one term per opponent j of
-    b_j (1-a) * prod over i != j of (1-b_i).  Handles a single boundary
-    percentage (0 or 1) without special casing.
+    P = a p / (a p + (1 - a) s) with p = prod(1 - b_i) and s the sum over j of
+    b_j prod over i != j of (1 - b_i).  One forward pass builds both through
+    s <- s (1 - b) + b p, then p <- p (1 - b), so nothing divides by any
+    1 - b_i and the cost is O(n).  The pass ends through the range-safe step
+    with the odds (1 - a) s / (a p), each factor as a ``frexp`` mantissa.
 
-    The products over i != j come from prefix and suffix products, so the
-    cost is O(n), and nothing divides by 1 - b_i; 200 factors of 0.001 do
-    not underflow.  With a and each b_j scaled by 2**974, which is exact,
-    and every product kept in [2**-353, 1] by restarting its run, each term
-    lies in [2**-859, 2**974]: the terms between two restarts share one
-    power of two, and only where a run restarts are they shifted before one
-    fsum.  Numerator over total needs no case for a numerator of 0.
+    p starts at 2**900 and, wherever it falls below 2**200, p and s are both
+    scaled by 2**700, exactly, which leaves s/p alone.  A factor 1 - b < 1 is
+    at least 2**-53, so p stays in [2**147, 2**900]; s/p is the odds sum
+    sum q(b_i), in [2**-1074, n 2**53], so s stays normal and finite for any
+    n below 2**70.  An opponent at 1 zeroes p, and the contest is then lost
+    (0.0) unless the protagonist or another opponent is also at 1.
+
+    Every rounding is relative and the terms add without cancelling: term j of
+    s over p is q(b_j) times at most 3n + 1 rounding factors, since the error
+    of each 1 - b_i, i != j, cancels between s and p.  With the ending's six
+    more, the result is within (3n + 8) 2**-53 of P, relative, plus 2**-1075
+    absolute where it is subnormal.
     """
-    n, factors = c.n, [1.0 - b for b in c.opponents]
-    pre, restarts = _products(factors)
-    suf, suf_restarts = _products(factors[::-1])
-    scale = _LIFT * (1.0 - c.protagonist)
-    terms = [s * (b * scale * p) for s, b, p in zip(suf[-2::-1], c.opponents, pre)]
-    terms.append(c.protagonist * _LIFT * pre[-1])
-    if restarts or suf_restarts:
-        # Up to one common factor, term j (the numerator is term n) carries 2**e, where e sums the
-        # restarts of pre at j or before and takes off each of suf at i from j = n - i on.
-        cuts = sorted(restarts + [(n - i, -k) for i, k in suf_restarts])
-        e, runs = 0, []
-        for (lo, k), (hi, _) in pairwise([(0, 0), *cuts, (n + 1, 0)]):
-            e += k
-            runs.append((lo, hi, e))
-        top = max([e for lo, hi, e in runs if any(terms[lo:hi])], default=0)
-        for lo, hi, e in runs:
-            if e != top:  # shift to the largest power of two that a nonzero term carries
-                terms[lo:hi] = map(math.ldexp, terms[lo:hi], repeat(e - top))
-    total = math.fsum(terms)
-    if not total:  # every term is 0: all percentages are 0, or two are 1
-        raise UndefinedContestError("probability undefined for this contest")
-    return terms[-1] / total  # the numerator, shifted as the sum took it
+    p, s = _TOP, 0.0
+    for b in c.opponents:
+        f = 1.0 - b
+        s = s * f + b * p
+        p *= f
+        if p < _LOW:
+            if not p:  # b is 1: the numerator is 0, and so is s past a second 1
+                if c.protagonist == 1.0 or c.opponents.count(1.0) > 1:
+                    raise UndefinedContestError("probability undefined for this contest")
+                return 0.0
+            p *= _RAISE
+            s *= _RAISE
+    a = c.protagonist
+    if not a:  # the numerator is 0, and so is the total when every opponent is 0
+        if not s:
+            raise UndefinedContestError("probability undefined for this contest")
+        return 0.0
+    (s_m, s_e), (a_m, a_e), (p_m, p_e) = map(math.frexp, (s, a, p))
+    return _p_from_odds((1.0 - a) * s_m / a_m / p_m, s_e - a_e - p_e)
 
 
 def _sum_parts(c: Contest, fields: list[float] | None = None) -> tuple[float, int]:
@@ -173,9 +154,16 @@ def p_n_substitution(c: Contest, pivot: float) -> float:
     return _p_from_odds(m, sum(exps[:4]) - exps[4] - exps[5])
 
 
-def validate_partition(blocks: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...], ...]:
-    """Check that blocks are nonempty, disjoint, and cover the indices 0..n-1."""
+def validate_partition(
+    blocks: Sequence[Sequence[int]], n: int, first: int = 0
+) -> tuple[tuple[int, ...], ...]:
+    """Check that blocks are nonempty, disjoint, and cover the indices first..first+n-1.
+
+    Messages name each index as the blocks hold it, so a caller that numbers
+    opponents from 1 passes first=1.
+    """
     normalized = tuple(map(tuple, blocks))
+    stop = first + n
     seen: set[int] = set()
     for block in normalized:
         if not block:
@@ -183,13 +171,13 @@ def validate_partition(blocks: Sequence[Sequence[int]], n: int) -> tuple[tuple[i
         for idx in block:
             if not isinstance(idx, int) and not hasattr(idx, "__index__"):  # ints skip the lookup
                 raise ValueError(f"partition index {idx!r} is not an integer")
-            if not 0 <= idx < n:
-                raise ValueError(f"partition index {idx} outside 0..{n - 1}")
+            if not first <= idx < stop:
+                raise ValueError(f"partition index {idx} outside {first}..{stop - 1}")
             if idx in seen:
                 raise ValueError(f"partition index {idx} repeated")
             seen.add(idx)
     if len(seen) != n:
-        missing = sorted(set(range(n)) - seen)
+        missing = sorted(set(range(first, stop)) - seen)
         raise ValueError(f"partition does not cover indices {missing}")
     return normalized
 

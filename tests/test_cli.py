@@ -171,6 +171,24 @@ class TestPredict:
         assert code == 4
 
     @pytest.mark.parametrize(
+        "blocks, message",
+        [
+            ("1|3", "partition index 3 outside 1..2"),
+            ("1,1|2", "partition index 1 repeated"),
+            ("0|1,2", "partition index 0 outside 1..2"),
+            ("2", "partition does not cover indices [1]"),
+        ],
+    )
+    @pytest.mark.parametrize("how", [["--method", "partition"], ["--all-methods"]])
+    def test_partition_messages_name_indices_as_typed(self, capsys, blocks, message, how):
+        code, out, err = run(
+            capsys, "predict", "-a", "0.5", "-b", "0.5,0.4", "--blocks", blocks, *how
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
         "a, opponents, expected",
         [("5e-324", "0.5,0.5", 0.0), ("1e-310", "1e-300,1e-300", 5e-11)],
     )

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from multijames import Contest, UndefinedContestError, cli, identities, james_p, p_n, strength
+from multijames import Contest, UndefinedContestError, cli, james_p, p_n, strength
 from multijames.identities import (
     odds_from_sum,
     p_n_expanded_sum,
@@ -89,9 +89,10 @@ class TestProductForm:
             assert p_n_product_form(Contest(a, bs)) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     # Each 0.75 is a factor 1 - b of exactly 2**-2, and the 40 mild factors multiply to
-    # about 0.98.  So 149 of them keep the product of all factors above the restart
-    # threshold 2**-300 and 150 take it below; 300 restart some runs twice.  The prefix
-    # and the suffix runs restart at different places unless the two cuts coincide.
+    # about 0.98.  So 149 of them keep the product of all factors above 2**-300 and 150
+    # take it below.  The third column counts how often an earlier two-pass form
+    # restarted its prefix and suffix runs of products at that threshold; it only
+    # names the cases now.
     @pytest.mark.parametrize(
         "count, where, restarts",
         [
@@ -111,22 +112,51 @@ class TestProductForm:
         mild = [rng.uniform(1e-4, 1e-3) for _ in range(40)]
         at = {"front": 0, "middle": 20, "back": 40}[where]
         bs = (*mild[:at], *[0.75] * count, *mild[at:])
-        factors = [1.0 - b for b in bs]
-        runs = identities._products(factors)[1], identities._products(factors[::-1])[1]
-        assert tuple(map(len, runs)) == restarts
         for a in (0.3, 5e-324, NEAR_ONE):
             assert not out_of_bound(p_n_product_form(Contest(a, bs)), exact_p_n(a, bs)), a
 
     @pytest.mark.parametrize("edge", [0.0, 1.0])
     @pytest.mark.parametrize("at", [0, 100, 160, 298])
     def test_boundary_opponent_around_a_restart(self, edge, at):
-        # 298 factors of 2**-2 restart each run once; an opponent at 1 is a zero factor,
-        # before or after that restart, and one at 0 a zero term.
+        # Among 298 factors of 2**-2, an opponent at 1 is a zero factor and one at 0 a
+        # zero term.
         bs = [0.75] * 299
         bs[at] = edge
         for a in (0.3, 1.0 - edge):  # not a second percentage at 1, which is undefined
             value = p_n_product_form(Contest(a, bs))
             assert value == pytest.approx(float(exact_product_form(a, bs)), rel=1e-13, abs=0.0)
+
+    # p starts at 2**900 and is rescaled below 2**200: 350 factors of 2**-2 reach 2**200,
+    # 351 rescale once and 701 twice.  The opponent put first, last of those factors, or
+    # after them is at 0, at 1, or a plain 0.3.
+    @pytest.mark.parametrize("count", [350, 351, 701])
+    @pytest.mark.parametrize("edge", [0.3, 0.0, 1.0])
+    def test_rescale_threshold(self, count, edge):
+        for at in (0, count - 1, count):
+            bs = [0.75] * count + [0.3]
+            bs[at] = edge
+            for a in (0.3, 5e-324, NEAR_ONE):
+                exact = exact_product_form(a, bs)
+                assert not beyond_product_bound(p_n_product_form(Contest(a, bs)), exact, len(bs))
+
+    def test_within_the_stated_bound(self):
+        rng = random.Random(PRODUCT_BOUND_SEED)
+        for _ in range(PRODUCT_BOUND_CONTESTS):
+            n = rng.choice((1, 2, 4, 16, 64, 256))
+            a = draw(rng, INTERIOR_STRATA)
+            bs = tuple(draw(rng, INTERIOR_STRATA) for _ in range(n))
+            value = p_n_product_form(Contest(a, bs))
+            assert not beyond_product_bound(value, exact_p_n(a, bs), n), (a, bs)
+
+
+# The product form's docstring bound: (3n + 8) 2**-53 relative, plus 2**-1075 absolute
+# where the result is subnormal.  Seed and size were fixed before the first run.
+PRODUCT_BOUND_SEED = 27
+PRODUCT_BOUND_CONTESTS = 600
+
+
+def beyond_product_bound(value, exact, n):
+    return abs(Fraction(value) - exact) > (3 * n + 8) * Fraction(2) ** -53 * exact + Fraction(2) ** -1075
 
 
 class TestSumFormula:
@@ -565,7 +595,7 @@ def test_every_method_on_the_interior_sample():
 
 
 # 200 contests of 64 or 256 opponents drawn like the sample above, so the product form
-# restarts its runs of products many times.  Seed and size were fixed before the first run.
+# rescales its products many times.  Seed and size were fixed before the first run.
 LARGE_SAMPLE_SEED = 22
 LARGE_SAMPLE_CONTESTS = 200
 
@@ -592,7 +622,7 @@ NEAR_ONE = 1.0 - 2.0**-53
 @pytest.mark.parametrize("a", [0.5, 5e-324, NEAR_ONE])
 @pytest.mark.parametrize("evaluate", [p_n_product_form, p_n_expanded_sum], ids=["product", "expanded"])
 def test_deep_field_with_subnormal_opponents(evaluate, a):
-    # Each factor 1 - b is 2**-53, so the runs of products restart every few opponents.
+    # Each factor 1 - b is 2**-53, so the product form rescales p and s every 14 opponents.
     bs = [NEAR_ONE] * 256
     bs[3], bs[100], bs[101], bs[255] = 5e-324, 2.0**-1022, 5e-324, 2.0**-1022
     assert not out_of_bound(evaluate(Contest(a, bs)), exact_p_n(a, bs))
