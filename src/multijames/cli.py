@@ -16,9 +16,8 @@ import os
 import sys
 
 from . import __version__
-from .core import Contest, GraphError, UndefinedContestError, p_n
+from .core import Contest, GraphError, UndefinedContestError, _p_from_odds, p_n
 from .identities import (
-    _p_from_odds,
     _sum_parts,
     p_n_expanded_sum,
     p_n_partitioned,
@@ -112,8 +111,7 @@ def _parse_blocks(text: str) -> list[list[int]]:
 def cmd_predict(args) -> int:
     contest = Contest(args.protagonist, _parse_percent_list(args.opponents))
     blocks = _parse_blocks(args.blocks) if args.blocks else None
-    if blocks and (args.all_methods or args.method == "partition"):
-        # Checked as typed, so that a message names the index the user wrote.
+    if blocks:  # checked for every method, as typed, so a message names the index written
         blocks = [[i - 1 for i in b] for b in validate_partition(blocks, contest.n, first=1)]
     if args.all_methods:
         values = {m: f(contest, args.pivot, blocks) for m, f in METHODS.items()}

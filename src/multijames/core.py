@@ -27,6 +27,15 @@ _TINY = 2.0**-1022  # the smallest normal float
 _setattr = object.__setattr__  # bound once: looking it up on every field store is slow
 
 
+def _p_from_odds(s: float, e: int) -> float:
+    """1/(1 + odds) for odds s * 2**e, with s finite and >= 0; 1.0 for s = 0."""
+    try:
+        return 1.0 / (1.0 + math.ldexp(s, e))
+    except OverflowError:  # ldexp raises rather than round to inf; 1 + odds rounds to the odds
+        m, k = math.frexp(s)
+        return math.ldexp(1.0 / m, -e - k)
+
+
 class UndefinedContestError(ValueError):
     """The requested probability has no defined value.
 

@@ -27,7 +27,9 @@ from itertools import accumulate
 from operator import mul, truediv
 from typing import Sequence
 
-from .core import _TINY, Contest, UndefinedContestError, _checked_contest, _interior_strengths, p_n
+from .core import (
+    _TINY, Contest, UndefinedContestError, _checked_contest, _interior_strengths, _p_from_odds, p_n,
+)
 
 __all__ = [
     "odds_from_sum",
@@ -44,15 +46,6 @@ _LIFT_EXP = 974
 _LIFT = 2.0**_LIFT_EXP  # exact on [0, 1]; lifts every subnormal into the normal range
 _TOP, _LOW, _RAISE = 2.0**900, 2.0**200, 2.0**700  # the product form's range for p
 _GUARD = 2.0**-900  # the sum lifts a protagonist, and the expanded sum a strength, below this
-
-
-def _p_from_odds(s: float, e: int) -> float:
-    """1/(1 + odds) for odds s * 2**e, with s finite and >= 0; 1.0 for s = 0."""
-    try:
-        return 1.0 / (1.0 + math.ldexp(s, e))
-    except OverflowError:  # ldexp raises rather than round to inf; 1 + odds rounds to the odds
-        m, k = math.frexp(s)
-        return math.ldexp(1.0 / m, -e - k)
 
 
 def _require_interior(value: float, name: str) -> float:

@@ -8,10 +8,10 @@ Given one anchor percentage the whole tree of winning percentages follows.
 
 from __future__ import annotations
 
-import math
+from math import frexp, fsum, ldexp
 from typing import Iterable
 
-from .core import GraphError, _Value, _setattr
+from .core import GraphError, _Value, _p_from_odds, _setattr
 
 __all__ = [
     "AnchorBoundaryError",
@@ -67,8 +67,8 @@ class CompetitionGraph(_Value):
     """The known match-ups, checked on entry to form a tree.
 
     ``vertices`` is the root plus every edge endpoint.  ``_x`` holds each vertex's
-    path log-odds from the root, log q(v) - log q(root), in the order of a
-    breadth-first walk from the root, neighbors in name order.
+    path odds from the root, q(v)/q(root), as a ``frexp`` pair (mantissa, exponent),
+    in the order of a breadth-first walk from the root, neighbors in name order.
     """
 
     _fields = ("root", "edges", "vertices")
@@ -76,25 +76,33 @@ class CompetitionGraph(_Value):
 
     def __init__(self, root: str, edges: Iterable[PairwiseEdge]) -> None:
         edges = tuple(edges)
-        # u -> v -> the log-odds that u beats v, each reversed edge the exact negation.
+        # u -> v -> the probability that u beats v, negated on the reversed direction.
         adj: dict[str, dict[str, float]] = {root: {}}
         for e in edges:
             row = adj.setdefault(e.u, {})
             if e.v in row:
                 a, b = sorted((e.u, e.v))
                 raise DuplicateEdgeError(f"duplicate edge between {a!r} and {b!r}")
-            row[e.v] = lo = _logit(e.p_u_beats_v)
-            adj.setdefault(e.v, {})[e.u] = -lo
+            row[e.v] = c = e.p_u_beats_v
+            adj.setdefault(e.v, {})[e.u] = -c
         if len(edges) >= len(adj):
             raise ExtraEdgesError(f"{len(edges)} edges over {len(adj)} vertices: a cycle exists")
-        # Each vertex's value is its parent's minus the log-odds that the parent beats it.
-        x = {root: 0.0}
+        # Each vertex's odds are its parent's times P(it beats the parent) / P(the parent beats
+        # it), from that probability's mantissa and renormalized: three roundings, no overflow.
+        x = {root: (0.5, 1)}
         order = [root]
         for node in order:
-            row, base = adj[node], x[node]
+            row, (m, k) = adj[node], x[node]
             for nbr in sorted(row):
                 if nbr not in x:
-                    x[nbr] = base - row[nbr]
+                    c = row[nbr]
+                    f, j = frexp(c)  # f takes the sign of c
+                    if c > 0.0:  # times (1 - c)/c
+                        t, i = frexp(m * (1.0 - c) / f)
+                        x[nbr] = (t, k + i - j)
+                    else:  # times -c/(1 + c)
+                        t, i = frexp(-m * f / (1.0 + c))
+                        x[nbr] = (t, k + i + j)
                     order.append(nbr)
         if len(x) < len(adj):
             raise DisconnectedError(adj.keys() - x.keys(), root)
@@ -106,29 +114,20 @@ class CompetitionGraph(_Value):
         return CompetitionGraph, (self.root, self.edges)
 
 
-def _logit(p: float) -> float:
-    """log(p / (1 - p)) for 0 < p < 1."""
-    return math.log(p) - math.log1p(-p)
-
-
-def _sigmoid(x: float) -> float:
-    """1 / (1 + e^-x), through e^-|x| so that no magnitude of x overflows."""
-    e = math.exp(-abs(x))
-    return 1.0 / (1.0 + e) if x >= 0.0 else e / (1.0 + e)
-
-
 def p_n_from_tree(g: CompetitionGraph) -> float:
     """Path Formula: win probability of the root from the tree's edge probabilities.
 
-    Each opponent contributes the product, along its path from the root, of
-    the ratios p(child beats parent) / p(parent beats child).  The products
-    are summed as log-odds with a max-shifted log-sum-exp.
+    Each opponent contributes its path odds, the product along its path from the root
+    of the ratios p(child beats parent) / p(parent beats child), and P = 1/(1 + sum).
+    The terms are scaled by one power of two to the largest exponent, summed with
+    ``fsum`` and ended through the range-safe step, so lopsided trees give 0.0 or 1.0
+    rather than overflowing.  Every rounding is relative and no term cancels, so the
+    result is within (3 depth + 5) 2^-53 of P, relative, plus 2^-1075 absolute where
+    it is subnormal, with depth the most edges from the root to a vertex.
     """
-    x = g._x.values()
-    # With the root's own term e^0 = 1 included, P = 1 / (1 + sum) = e^-L,
-    # and L >= 0, so neither the sum nor the result can overflow.
-    m = max(x)
-    return math.exp(-(m + math.log(math.fsum(math.exp(v - m) for v in x))))
+    odds = list(g._x.values())[1:]  # the root's own odds, 1, come first
+    top = max((k for _, k in odds), default=0)
+    return _p_from_odds(fsum([ldexp(m, k - top) for m, k in odds]), top)
 
 
 def propagate_percentages(
@@ -136,19 +135,16 @@ def propagate_percentages(
 ) -> dict[str, float]:
     """Recover every competitor's winning percentage from one known anchor.
 
-    An edge c = P(s beats t) gives logit(t) = logit(s) - logit(c) by the involutive
-    property, so logit(v) = logit(anchor_pct) - x(anchor) + x(v), with x the graph's
-    path log-odds from the root.  Keys follow the root's walk; the anchor keeps its
-    exact input.
+    An edge c = P(s beats t) gives q(t) = q(s) (1 - c)/c by the involutive property,
+    so the odds against v are (1 - pct)/pct x(anchor)/x(v), with x the graph's path
+    odds from the root, formed from mantissas and ended through the range-safe step.
+    Keys follow the root's walk; the anchor keeps its exact input.
 
-    Against the percentages that the float edges and ``anchor_pct`` fix exactly,
-    each has relative error at most 7u (d(anchor) + d(v) + 2) (M + |L| + 1), plus
-    2^-1074 absolute: u = 2^-53, d(v) is the number of edges from the root to v,
-    M the largest |x(v)| and L = logit(anchor_pct).  Each path step adds at most
-    7u (M + 1) to a logit, and the sigmoid does not amplify that.
-
-    The logits stay finite, but the final sigmoid correctly rounds a logit
-    above about 36.7 to exactly 1.0 (and one below about -745 to 0.0).  Two
+    Against the percentages that the float edges and ``anchor_pct`` fix exactly, each
+    is within (3 (d(anchor) + d(v)) + 7) 2^-53 relative, plus 2^-1075 absolute where it
+    is subnormal, with d(v) the number of edges from the root to v: three roundings a
+    path step, four for the odds and two for the ending.  No odds overflow, but a
+    percentage above 1 - 2^-54 is not a float and rounds to exactly 1.0; two
     competitors returned as 1.0 make a later ``p_n`` over them undefined.
     """
     x = g._x
@@ -157,7 +153,8 @@ def propagate_percentages(
     pct = float(anchor_pct)
     if not 0.0 < pct < 1.0:
         raise AnchorBoundaryError("anchor percentage must lie strictly inside (0, 1)")
-    shift = _logit(pct) - x[anchor]
-    result = {v: _sigmoid(shift + t) for v, t in x.items()}
+    (f, j), (m, k) = frexp(pct), x[anchor]
+    s = (1.0 - pct) / f * m  # the odds against the root, over 2**(k - j)
+    result = {v: _p_from_odds(s / t, k - j - i) for v, (t, i) in x.items()}
     result[anchor] = pct
     return result

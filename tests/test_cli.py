@@ -179,7 +179,10 @@ class TestPredict:
             ("2", "partition does not cover indices [1]"),
         ],
     )
-    @pytest.mark.parametrize("how", [["--method", "partition"], ["--all-methods"]])
+    # A method that takes no partition checks a given one too.
+    @pytest.mark.parametrize(
+        "how", [["--method", "partition"], ["--all-methods"], ["--method", "direct"]]
+    )
     def test_partition_messages_name_indices_as_typed(self, capsys, blocks, message, how):
         code, out, err = run(
             capsys, "predict", "-a", "0.5", "-b", "0.5,0.4", "--blocks", blocks, *how
@@ -1091,6 +1094,15 @@ class TestImportHygiene:
             added = {name for name in after - before
                      if name == "csv" or name.startswith("multijames.")}
             assert added == own
+
+    def test_tree_loads_no_identities_or_numpy(self):
+        # The tree ends through core's range-safe step, so importing it compiles nothing more.
+        code = "import json, sys, multijames.tree; print(json.dumps(sorted(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=child_env(), check=True)
+        loaded = set(json.loads(proc.stdout))
+        assert "multijames.core" in loaded
+        assert not loaded & {"multijames.identities", "numpy"}
 
     def test_source_does_not_mention_scipy(self):
         sources = [p for p in SRC.rglob("*") if p.is_file() and "__pycache__" not in p.parts]

@@ -1,4 +1,3 @@
-import math
 import pickle
 import random
 from fractions import Fraction
@@ -6,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from multijames import Contest, UndefinedContestError, james_p, p_n
-from multijames.identities import odds_from_sum, p_n_expanded_sum
+from multijames.identities import p_n_expanded_sum
 from multijames.tree import (
     AnchorBoundaryError,
     CompetitionGraph,
@@ -20,6 +19,7 @@ from multijames.tree import (
     propagate_percentages,
 )
 
+from _domain import INTERIOR_STRATA, draw
 from _oracles import exact_james, exact_p_n, exact_strength
 
 FIGURE_EDGES = (
@@ -139,7 +139,8 @@ class TestPathFormula:
             PairwiseEdge("A", f"B{i+1}", james_p(a, b)) for i, b in enumerate(bs)
         )
         star = CompetitionGraph("A", edges)
-        expected = 1.0 / (1.0 + odds_from_sum(Contest(a, bs)))
+        # james_p rounds each edge, so the tolerance exceeds the path formula's bound.
+        expected = float(exact_p_n(a, bs))
         assert p_n_from_tree(star) == pytest.approx(expected, rel=1e-12)
 
     def test_chain_matches_expanded_sum(self):
@@ -211,8 +212,8 @@ class TestPropagation:
             propagate_percentages(chain_graph(), "Q", 0.5)
 
     def test_lopsided_chain_rounds_to_one(self):
-        # Every logit stays finite, but from c1 on they exceed 460, and the
-        # sigmoid correctly rounds each to 1.0.
+        # No odds overflow, but from c1 on the odds against each competitor are
+        # below 1e-200, so each percentage rounds to 1.0.
         result = propagate_percentages(lopsided_chain("c0"), "c0", 0.5)
         assert result["c1"] == 1.0
         assert result["c63"] == 1.0
@@ -306,14 +307,46 @@ def exact_percentages(g, anchor, anchor_pct):
     return {v: w / (1 + w) for v, w in q.items()}
 
 
-class TestRandomTreeOracle:
-    # Every path log-odds is a difference of two log-strengths, so it stays
-    # below 2 ln(1e6) < 28 whatever the depth.  Each of at most 300 path steps
-    # adds a few roundings of that size, about 2^-51 * 28 = 1.3e-14, so the
-    # relative error of P and of each recovered percentage stays below 300 times
-    # that, 4e-12.  The stated bound leaves a margin over that estimate.
-    BOUND = 1e-11
+def depths(g):
+    """The number of edges from the root to each vertex."""
+    nbrs = {v: [] for v in g.vertices}
+    for e in g.edges:
+        nbrs[e.u].append(e.v)
+        nbrs[e.v].append(e.u)
+    d = {g.root: 0}
+    order = [g.root]
+    for s in order:
+        for t in nbrs[s]:
+            if t not in d:
+                d[t] = d[s] + 1
+                order.append(t)
+    return d
 
+
+# The docstrings' bounds: three roundings for each edge on a path, a few for the
+# sum and the ending, and half a subnormal step where the result is subnormal.
+def infer_bound(exact, depth):
+    return Fraction(3 * depth + 5, 2**53) * exact + Fraction(1, 2**1075)
+
+
+def propagate_bound(exact, d_anchor, d_v):
+    return Fraction(3 * (d_anchor + d_v) + 7, 2**53) * exact + Fraction(1, 2**1075)
+
+
+def star_sample():
+    """3000 seeded stars of 1-64 leaves, each edge won by the root with an INTERIOR_STRATA draw.
+
+    The worst of them for the log-sum-exp the path formula once used is star 665,
+    5 leaves with P = 8.4e-280, which that missed by 699 ulp; 225 more missed a
+    subnormal P by more than one step.
+    """
+    rng = random.Random(3)
+    for _ in range(3000):
+        k = rng.randint(1, 64)
+        yield [PairwiseEdge("A", f"B{i}", draw(rng, INTERIOR_STRATA)) for i in range(k)]
+
+
+class TestRandomTreeOracle:
     def test_path_formula_and_propagation_match_exact(self):
         # Seed and size were fixed before the first run.
         rng = random.Random(2024)
@@ -324,20 +357,21 @@ class TestRandomTreeOracle:
             exact = exact_percentages(g, anchor, anchor_pct)
             opponents = [exact[v] for v in sorted(g.vertices - {g.root})]
             expected = exact_p_n(exact[g.root], opponents)
+            d = depths(g)
             got = p_n_from_tree(g)
-            assert abs(Fraction(got) - expected) <= self.BOUND * expected
+            assert abs(Fraction(got) - expected) <= infer_bound(expected, max(d.values()))
             recovered = propagate_percentages(g, anchor, anchor_pct)
             assert recovered[anchor] == anchor_pct
             assert recovered.keys() == g.vertices
             for v, pct in exact.items():
-                assert abs(Fraction(recovered[v]) - pct) <= self.BOUND * pct, v
+                assert abs(Fraction(recovered[v]) - pct) <= propagate_bound(pct, d[anchor], d[v]), v
 
     def test_deep_chain_propagation_within_docstring_bound(self):
         # Root at one end of each 300-edge chain, the anchor at the other, so the
-        # path through the root is as long as it gets.  Seed and size were fixed
-        # before the first run.
+        # path through the root is as long as it gets; the path formula is held to
+        # its own bound on the same chains.  Seed and size were fixed before the
+        # first run.
         rng = random.Random(1919)
-        u = 2.0**-53
         for _ in range(10):
             names = [f"v{i}" for i in range(301)]
             rng.shuffle(names)
@@ -351,13 +385,27 @@ class TestRandomTreeOracle:
             g = CompetitionGraph(names[0], edges)
             anchor, anchor_pct = names[-1], extreme_pct(rng)
             exact = exact_percentages(g, anchor, anchor_pct)
-            log_q = {v: math.log(p / (1 - p)) for v, p in exact.items()}
-            big_m = max(abs(log_q[v] - log_q[g.root]) for v in names)
-            big_l = abs(math.log(anchor_pct / (1 - anchor_pct)))
+            expected = exact_p_n(exact[g.root], [exact[v] for v in names[1:]])
+            assert abs(Fraction(p_n_from_tree(g)) - expected) <= infer_bound(expected, 300)
             recovered = propagate_percentages(g, anchor, anchor_pct)
             for depth, v in enumerate(names):
-                bound = 7 * u * (300 + depth + 2) * (big_m + big_l + 1)
-                assert abs(Fraction(recovered[v]) - exact[v]) <= bound * exact[v], v
+                assert abs(Fraction(recovered[v]) - exact[v]) <= propagate_bound(exact[v], 300, depth), v
+
+    def test_star_sample_within_docstring_bounds(self):
+        # Each star is propagated from its root at a percentage drawn apart, so the
+        # sample stays the one the stars were first measured on.
+        anchors = random.Random(33)
+        for edges in star_sample():
+            g = CompetitionGraph("A", edges)
+            ratios = [(1 - Fraction(e.p_u_beats_v)) / Fraction(e.p_u_beats_v) for e in edges]
+            expected = 1 / (1 + sum(ratios))
+            assert abs(Fraction(p_n_from_tree(g)) - expected) <= infer_bound(expected, 1)
+            pct = draw(anchors, INTERIOR_STRATA)
+            q = exact_strength(pct)
+            recovered = propagate_percentages(g, "A", pct)
+            for e, ratio in zip(edges, ratios):
+                exact = q * ratio / (1 + q * ratio)
+                assert abs(Fraction(recovered[e.v]) - exact) <= propagate_bound(exact, 0, 1)
 
 
 class TestWalkCache:
