@@ -154,7 +154,7 @@ def propagate_percentages(
     if not 0.0 < pct < 1.0:
         raise AnchorBoundaryError("anchor percentage must lie strictly inside (0, 1)")
     (f, j), (m, k) = frexp(pct), x[anchor]
-    s = (1.0 - pct) / f * m  # the odds against the root, over 2**(k - j)
+    s = (1.0 - pct) / f * m  # s * 2**(k - j) is the odds against the root
     result = {v: _p_from_odds(s / t, k - j - i) for v, (t, i) in x.items()}
     result[anchor] = pct
     return result

@@ -1096,7 +1096,7 @@ class TestImportHygiene:
             assert added == own
 
     def test_tree_loads_no_identities_or_numpy(self):
-        # The tree ends through core's range-safe step, so importing it compiles nothing more.
+        # The tree ends through core's range-safe step and needs nothing of identities.
         code = "import json, sys, multijames.tree; print(json.dumps(sorted(sys.modules)))"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=child_env(), check=True)

@@ -336,9 +336,8 @@ def propagate_bound(exact, d_anchor, d_v):
 def star_sample():
     """3000 seeded stars of 1-64 leaves, each edge won by the root with an INTERIOR_STRATA draw.
 
-    The worst of them for the log-sum-exp the path formula once used is star 665,
-    5 leaves with P = 8.4e-280, which that missed by 699 ulp; 225 more missed a
-    subnormal P by more than one step.
+    A log-sum-exp ending errs by about |log P| ulp here: by 699 ulp on star 665,
+    5 leaves with P = 8.4e-280, and by more than one subnormal step on 225 others.
     """
     rng = random.Random(3)
     for _ in range(3000):
