@@ -9,9 +9,10 @@ in an event follow from how many ranks are better, equal and worse than its
 own: a valid rank r has r - 1 better finishers, and one count per rank gives
 the ties, so they cost O(k log k) with the sort that validates the ranks.
 Only the pairwise table is inherently quadratic: it is built as one dict of
-the event's C(k, 2) name pairs, each mapped to a shared score tuple, and
-merged into the running table.  Every score is a multiple of 0.5, so the
-totals equal the game-by-game sums exactly.
+the event's C(k, 2) name pairs, each mapped to a shared score tuple.  The
+first event's dict becomes the running table, and each later one is merged
+into it.  Every score is a multiple of 0.5, so the totals equal the
+game-by-game sums exactly.
 """
 
 from __future__ import annotations
@@ -187,6 +188,9 @@ def build_standings(
             (u, v): _score(rank_u, rank_v)
             for (u, rank_u), (v, rank_v) in combinations(sorted(event.placements), 2)
         }
+        if not pairwise:  # the first event's table becomes the running one
+            pairwise = cells
+            continue
         for key in cells.keys() & pairwise.keys():
             (u_total, v_total), (u_score, v_score) = pairwise[key], cells[key]
             cells[key] = (u_total + u_score, v_total + v_score)

@@ -8,6 +8,7 @@ Given one anchor percentage the whole tree of winning percentages follows.
 
 from __future__ import annotations
 
+from array import array
 from math import frexp, fsum, ldexp
 from typing import Iterable
 
@@ -67,8 +68,10 @@ class CompetitionGraph(_Value):
     """The known match-ups, checked on entry to form a tree.
 
     ``vertices`` is the root plus every edge endpoint.  ``_x`` holds each vertex's
-    path odds from the root, q(v)/q(root), as a ``frexp`` pair (mantissa, exponent),
-    in the order of a breadth-first walk from the root, neighbors in name order.
+    path odds from the root, q(v)/q(root), as ``frexp`` pairs in two flat arrays,
+    mantissas (``array('d')``) and exponents (``array('q')``), plus a name -> slot
+    dict, all in the order of a breadth-first walk from the root, neighbors in name
+    order.  The walk frees each adjacency row once it expands that vertex.
     """
 
     _fields = ("root", "edges", "vertices")
@@ -89,25 +92,28 @@ class CompetitionGraph(_Value):
             raise ExtraEdgesError(f"{len(edges)} edges over {len(adj)} vertices: a cycle exists")
         # Each vertex's odds are its parent's times P(it beats the parent) / P(the parent beats
         # it), from that probability's mantissa and renormalized: three roundings, no overflow.
-        x = {root: (0.5, 1)}
+        # Expanded rows are popped, so the rows left are those the root cannot reach.
+        slot, ms, ks = {root: 0}, array("d", [0.5]), array("q", [1])
         order = [root]
-        for node in order:
-            row, (m, k) = adj[node], x[node]
+        for n, node in enumerate(order):
+            row, m, k = adj.pop(node), ms[n], ks[n]
             for nbr in sorted(row):
-                if nbr not in x:
+                if nbr not in slot:
                     c = row[nbr]
                     f, j = frexp(c)  # f takes the sign of c
                     if c > 0.0:  # times (1 - c)/c
                         t, i = frexp(m * (1.0 - c) / f)
-                        x[nbr] = (t, k + i - j)
+                        ks.append(k + i - j)
                     else:  # times -c/(1 + c)
                         t, i = frexp(-m * f / (1.0 + c))
-                        x[nbr] = (t, k + i + j)
+                        ks.append(k + i + j)
+                    ms.append(t)
+                    slot[nbr] = len(order)
                     order.append(nbr)
-        if len(x) < len(adj):
-            raise DisconnectedError(adj.keys() - x.keys(), root)
-        self._init(root, edges, frozenset(adj))
-        _setattr(self, "_x", x)
+        if adj:
+            raise DisconnectedError(adj, root)
+        self._init(root, edges, frozenset(slot))
+        _setattr(self, "_x", (slot, ms, ks))
 
     def __reduce__(self):
         # The fields alone: construction checks the tree again and rebuilds ``_x``.
@@ -125,9 +131,9 @@ def p_n_from_tree(g: CompetitionGraph) -> float:
     result is within (3 depth + 5) 2^-53 of P, relative, plus 2^-1075 absolute where
     it is subnormal, with depth the most edges from the root to a vertex.
     """
-    odds = list(g._x.values())[1:]  # the root's own odds, 1, come first
-    top = max((k for _, k in odds), default=0)
-    return _p_from_odds(fsum([ldexp(m, k - top) for m, k in odds]), top)
+    _, ms, ks = g._x
+    top = max(ks[1:], default=0)  # the root's own odds, 1, come first
+    return _p_from_odds(fsum([ldexp(m, k - top) for m, k in zip(ms[1:], ks[1:])]), top)
 
 
 def propagate_percentages(
@@ -147,14 +153,14 @@ def propagate_percentages(
     percentage above 1 - 2^-54 is not a float and rounds to exactly 1.0; two
     competitors returned as 1.0 make a later ``p_n`` over them undefined.
     """
-    x = g._x
-    if anchor not in x:
+    slot, ms, ks = g._x
+    if anchor not in slot:
         raise GraphError(f"anchor {anchor!r} not among vertices")
     pct = float(anchor_pct)
     if not 0.0 < pct < 1.0:
         raise AnchorBoundaryError("anchor percentage must lie strictly inside (0, 1)")
-    (f, j), (m, k) = frexp(pct), x[anchor]
-    s = (1.0 - pct) / f * m  # s * 2**(k - j) is the odds against the root
-    result = {v: _p_from_odds(s / t, k - j - i) for v, (t, i) in x.items()}
+    (f, j), a = frexp(pct), slot[anchor]
+    s, k = (1.0 - pct) / f * ms[a], ks[a] - j  # s * 2**k is the odds against the root
+    result = {v: _p_from_odds(s / t, k - i) for v, t, i in zip(slot, ms, ks)}
     result[anchor] = pct
     return result
