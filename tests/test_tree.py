@@ -360,9 +360,11 @@ def name_order_walk(g):
     for e in g.edges:
         nbrs[e.u].add(e.v)
         nbrs[e.v].add(e.u)
-    order = [g.root]
+    order, seen = [g.root], {g.root}
     for s in order:
-        order.extend(sorted(nbrs[s] - set(order)))
+        new = sorted(nbrs[s] - seen)
+        seen.update(new)
+        order.extend(new)
     return order
 
 
