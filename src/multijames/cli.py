@@ -16,38 +16,14 @@ import os
 import sys
 
 from . import __version__
-from .core import Contest, GraphError, UndefinedContestError, _p_from_odds, p_n
-from .identities import (
-    _sum_parts,
-    p_n_expanded_sum,
-    p_n_partitioned,
-    p_n_product_form,
-    p_n_reduction,
-    p_n_shifted_sum,
-    p_n_substitution,
-    validate_partition,
-)
+from .core import Contest, GraphError, UndefinedContestError, p_n
+from .identities import METHODS, validate_partition
 
 EXIT_OK = 0
 EXIT_CHECKS_FAILED = 1
 EXIT_UNDEFINED = 2
 EXIT_GRAPH = 3
 EXIT_PARSE = 4
-
-# Every evaluator takes (contest, pivot, blocks); blocks None means one
-# block per opponent.
-METHODS = {
-    "direct": lambda c, pivot, blocks: p_n(c),
-    "product": lambda c, pivot, blocks: p_n_product_form(c),
-    "sum": lambda c, pivot, blocks: _p_from_odds(*_sum_parts(c)),
-    "substitution": lambda c, pivot, blocks: p_n_substitution(c, pivot),
-    "reduction": lambda c, pivot, blocks: p_n_reduction(c),
-    "shifted": lambda c, pivot, blocks: p_n_shifted_sum(c),
-    "expanded": lambda c, pivot, blocks: p_n_expanded_sum(c),
-    "partition": lambda c, pivot, blocks: p_n_partitioned(
-        c, blocks or [[i] for i in range(c.n)]
-    ),
-}
 
 
 class ParseError(ValueError):
@@ -97,22 +73,19 @@ def _parse_percent_list(text: str) -> tuple[float, ...]:
         raise ParseError(f"could not parse percentage list {text!r}") from None
 
 
-def _parse_blocks(text: str) -> list[list[int]]:
-    """Parse 1-based partition syntax like '1,2|3' into blocks of the indices as typed."""
+def _parse_blocks(text: str, n: int) -> list[list[int]]:
+    """0-based blocks from 1-based partition syntax like '1,2|3', checked as typed."""
     try:
-        return [
-            [int(idx) for idx in chunk.split(",") if idx.strip() != ""]
-            for chunk in text.split("|")
-        ]
+        blocks = [[int(idx) for idx in chunk.split(",") if idx.strip() != ""]
+                  for chunk in text.split("|")]
     except ValueError:
         raise ParseError(f"could not parse partition {text!r}") from None
+    return [[i - 1 for i in b] for b in validate_partition(blocks, n, first=1)]
 
 
 def cmd_predict(args) -> int:
     contest = Contest(args.protagonist, _parse_percent_list(args.opponents))
-    blocks = _parse_blocks(args.blocks) if args.blocks else None
-    if blocks:  # checked for every method, as typed, so a message names the index written
-        blocks = [[i - 1 for i in b] for b in validate_partition(blocks, contest.n, first=1)]
+    blocks = _parse_blocks(args.blocks, contest.n) if args.blocks else None  # for any method
     if args.all_methods:
         values = {m: f(contest, args.pivot, blocks) for m, f in METHODS.items()}
         spread = max(values.values()) - min(values.values())
@@ -310,7 +283,7 @@ def cmd_verify(args) -> int:
         # Grid families are interpolation-limited; default loosened tolerance.
         tolerance = 1e-3 if isinstance(family, GridFamily) else 1e-9
     spec = SampleSpec(
-        n_values=tuple(range(args.n_min, args.n_max + 1)),
+        n_values=range(args.n_min, args.n_max + 1),  # checked as it is drawn
         points=args.samples,
         seed=args.seed,
         tolerance=tolerance,

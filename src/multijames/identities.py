@@ -32,6 +32,7 @@ from .core import (
 )
 
 __all__ = [
+    "METHODS",
     "odds_from_sum",
     "p_n_expanded_sum",
     "p_n_partitioned",
@@ -123,8 +124,8 @@ def _sum_parts(c: Contest, fields: list[float] | None = None) -> tuple[float, in
 def odds_from_sum(c: Contest) -> float:
     """Sum Formula: the odds against the protagonist, as a sum over opponents.
 
-    inf where the odds leave the float range; the CLI's ``sum`` method ends the
-    same parts through the range-safe step instead.
+    inf where the odds leave the float range; ``METHODS["sum"]``, which
+    ``predict --method sum`` runs, ends the same parts through the range-safe step.
     """
     s, e = _sum_parts(c)
     return s * 2.0**e  # e is 0 or 974, and the product rounds to inf past the float range
@@ -176,7 +177,12 @@ def validate_partition(
 
 
 def p_n_partitioned(c: Contest, blocks: Sequence[Sequence[int]]) -> float:
-    """Partitioned sum formula: odds add across any split of the opponent set."""
+    """Partitioned sum formula: odds add across any split of the opponent set.
+
+    No term cancels and ``fsum`` rounds correctly, so nine roundings (two in q(b), three in
+    a term, a block's and the total's ``fsum``, two in the ending) leave this and the Sum
+    Formula within 10 2**-53 of P, relative, plus 2**-1075 if subnormal, for n below 2**40.
+    """
     q = _strengths(c)
     parts = validate_partition(blocks, c.n)
     # Each block's odds against a, met as a whole field: (1 - a) sum q(b_i) / a.
@@ -241,3 +247,17 @@ def p_n_expanded_sum(c: Contest) -> float:
     terms = accumulate(map(truediv, q[1:], q), mul)
     return _p_from_odds(math.fsum([t / _LIFT if up else t for t, up in zip(terms, low[1:])]),
                         _LIFT_EXP * low[0])
+
+
+# What ``predict --method`` runs, in report order; blocks None is the Sum Formula itself.
+METHODS = {
+    "direct": lambda c, pivot, blocks: p_n(c),
+    "product": lambda c, pivot, blocks: p_n_product_form(c),
+    "sum": lambda c, pivot, blocks: _p_from_odds(*_sum_parts(c)),  # 10 2**-53: p_n_partitioned
+    "substitution": lambda c, pivot, blocks: p_n_substitution(c, pivot),
+    "reduction": lambda c, pivot, blocks: p_n_reduction(c),
+    "shifted": lambda c, pivot, blocks: p_n_shifted_sum(c),
+    "expanded": lambda c, pivot, blocks: p_n_expanded_sum(c),
+    "partition": lambda c, pivot, blocks:
+        _p_from_odds(*_sum_parts(c)) if blocks is None else p_n_partitioned(c, blocks),
+}

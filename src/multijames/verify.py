@@ -31,6 +31,7 @@ __all__ = [
     "check_uniqueness_properties",
     "counterexample_family",
     "COUNTEREXAMPLE_NAMES",
+    "MAX_OPPONENTS",
     "run_all_checks",
 ]
 
@@ -274,13 +275,18 @@ class GridFamily(CandidateFamily):
 # ---------------------------------------------------------------------------
 # Check machinery
 
+MAX_OPPONENTS = 2**12  # normalization calls the family at n + 1 competitors: O(n**2) a sample
 
-def _integer(value, name: str) -> int:
-    """``operator.index(value)``, or a ValueError that names the value."""
+
+def _integer(value, name: str, bound: float = math.inf) -> int:
+    """``operator.index(value)``, or a ValueError that names the value, also past +-bound."""
     try:
-        return operator.index(value)
+        n = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if abs(n) > bound:  # either way: a range stops at the first such count, before filling memory
+        raise ValueError(f"{name} {n} outside 1..{bound}")
+    return n
 
 
 class SampleSpec(_Value):
@@ -291,7 +297,7 @@ class SampleSpec(_Value):
         points = _integer(points, "samples per opponent count")
         if points < 1:
             raise ValueError(f"samples per opponent count must be at least 1, got {points}")
-        n_values = tuple(_integer(n, "opponent count") for n in n_values)
+        n_values = tuple(_integer(n, "opponent count", MAX_OPPONENTS) for n in n_values)
         if not n_values or min(n_values) < 1:
             raise ValueError(
                 f"opponent counts must be a nonempty list of n >= 1, got {list(n_values)}"

@@ -630,9 +630,12 @@ class TestVerify:
             ("--tol", "nan", "verify"),
             ("--tol", "-1", "verify"),
             ("verify", "--family", "grid:{grid}", "--n-min", "3"),
+            # Each once built its whole range first and died of a MemoryError, exit 1.
+            ("verify", "--n-max", str(10**18)),
+            ("verify", "--n-min", str(-10**18)),
         ],
         ids=["no-samples", "empty-n-range", "zero-opponents", "nan-tol", "negative-tol",
-             "grid-without-requested-n"],
+             "grid-without-requested-n", "huge-n-max", "huge-negative-n-min"],
     )
     def test_bad_sample_spec_exits_before_any_check(self, capsys, tmp_path, argv):
         path = write_json(tmp_path, "grid.json", canonical_payload(5, 2))
@@ -641,7 +644,7 @@ class TestVerify:
                 capsys, "--output", output, *(arg.format(grid=path) for arg in argv)
             )
             assert code == 2
-            assert err.startswith("error:")
+            assert err.startswith("error:") and err.count("\n") == 1
             assert out == ""
 
     def test_unknown_family(self, capsys):

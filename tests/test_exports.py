@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import multijames
-from multijames import core
+from multijames import cli, core, identities
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -73,3 +73,19 @@ def test_every_export_is_used_outside_tests(name):
         and not (isinstance(getattr(module, attr), type) and issubclass(getattr(module, attr), Exception))
     ]
     assert unused == []
+
+
+def test_cli_runs_the_identities_table():
+    assert cli.METHODS is identities.METHODS
+
+
+def test_cli_imports_no_private_name():
+    # How an evaluator stores its odds stays inside identities: the CLI runs its table.
+    private = [
+        alias.name
+        for node in ast.walk(ast.parse(Path(cli.__file__).read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("multijames"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert private == []

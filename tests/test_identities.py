@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from multijames import Contest, UndefinedContestError, cli, james_p, p_n, strength
 from multijames.identities import (
+    METHODS,
     odds_from_sum,
     p_n_expanded_sum,
     p_n_partitioned,
@@ -27,7 +28,7 @@ from multijames.verify import (
     counterexample_family,
 )
 
-from _domain import INTERIOR_STRATA, NEAR_ENDS_STRATA, draw, full_domain
+from _domain import CORE_STRATA, INTERIOR_STRATA, NEAR_ENDS_STRATA, draw, full_domain
 from _oracles import (
     exact_distorted_difference,
     exact_james,
@@ -300,15 +301,71 @@ class TestPartition:
         c = Contest(0.45, (0.3, 0.7, 0.55, 0.62, 0.12))
         reference = p_n(c)
         for _ in range(50):
-            indices = list(range(c.n))
-            rng.shuffle(indices)
-            k = rng.randint(1, c.n)
-            cuts = sorted(rng.sample(range(1, c.n), k - 1)) if k > 1 else []
-            blocks, start = [], 0
-            for cut in cuts + [c.n]:
-                blocks.append(tuple(indices[start:cut]))
-                start = cut
+            blocks = random_partition(rng, c.n)
             assert p_n_partitioned(c, blocks) == pytest.approx(reference, rel=1e-12)
+
+    def test_no_blocks_is_the_sum_formula(self):
+        # The same bits, or the same error, as the n singleton blocks it stands for,
+        # and as the sum entry.
+        rng = random.Random(NO_BLOCKS_SEED)
+        for k in range(NO_BLOCKS_CONTESTS):
+            strata = (CORE_STRATA, INTERIOR_STRATA)[k % 2]
+            n = rng.choice((1, 2, 4, 16, 64, 256))
+            a = draw(rng, strata)
+            bs = tuple(draw(rng, strata) for _ in range(n))
+            try:
+                c = Contest(a, bs)
+            except ValueError:  # outside the domain, so no evaluator sees it
+                continue
+            expected = outcome(p_n_partitioned, c, [[i] for i in range(n)])
+            assert outcome(METHODS["partition"], c, 0.5, None) == expected, (a, bs)
+            assert outcome(METHODS["sum"], c, 0.5, None) == expected, (a, bs)
+
+    def test_within_the_stated_bound(self):
+        # Sum, and partition with and without blocks, against p_n_partitioned's bound.
+        rng = random.Random(SUM_BOUND_SEED)
+        for _ in range(SUM_BOUND_CONTESTS):
+            n = rng.choice((1, 2, 4, 16, 64, 256))
+            a = draw(rng, INTERIOR_STRATA)
+            bs = tuple(draw(rng, INTERIOR_STRATA) for _ in range(n))
+            c, exact = Contest(a, bs), exact_p_n(a, bs)
+            for method, blocks in (("sum", None), ("partition", None),
+                                   ("partition", random_partition(rng, n))):
+                value = METHODS[method](c, 0.5, blocks)
+                assert not beyond_sum_bound(value, exact), (method, a, bs, blocks)
+
+
+# Seeds and sizes were fixed before the first run.
+NO_BLOCKS_SEED = 32
+NO_BLOCKS_CONTESTS = 2000
+SUM_BOUND_SEED = 45
+SUM_BOUND_CONTESTS = 600
+
+
+def random_partition(rng, n):
+    """The indices 0..n-1, shuffled and cut into 1 to n blocks."""
+    indices = list(range(n))
+    rng.shuffle(indices)
+    k = rng.randint(1, n)
+    cuts = sorted(rng.sample(range(1, n), k - 1)) if k > 1 else []
+    blocks, start = [], 0
+    for cut in cuts + [n]:
+        blocks.append(tuple(indices[start:cut]))
+        start = cut
+    return blocks
+
+
+def outcome(evaluate, *args):
+    """The value's hex, or the class and message of the ValueError raised instead."""
+    try:
+        return evaluate(*args).hex()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def beyond_sum_bound(value, exact):
+    """Outside 10 2**-53 relative, plus 2**-1075 absolute where the result is subnormal."""
+    return abs(Fraction(value) - exact) > 10 * Fraction(2) ** -53 * exact + Fraction(2) ** -1075
 
 
 class TestReduction:

@@ -15,6 +15,7 @@ from multijames.verify import (
     CandidateFamily,
     CanonicalFamily,
     CheckReport,
+    MAX_OPPONENTS,
     GridFamily,
     SampleSpec,
     check_conditions,
@@ -397,12 +398,22 @@ class TestSampleSpec:
             ({"tolerance": None}, "tolerance must be finite and >= 0, got None"),
             ({"tolerance": "1e-9"}, "tolerance must be finite and >= 0, got '1e-9'"),
             ({"tolerance": [1]}, "tolerance must be finite and >= 0, got [1]"),
+            # A range past the limit stops at its first such count, before it fills memory.
+            ({"n_values": range(1, 10**18)}, "opponent count 4097 outside 1..4096"),
+            ({"n_values": range(-10**18, 5)},
+             "opponent count -1000000000000000000 outside 1..4096"),
+            ({"n_values": (3, -4097)}, "opponent count -4097 outside 1..4096"),
         ],
     )
     def test_bad_counts_raise_on_entry(self, kwargs, message):
         with pytest.raises(ValueError) as exc:
             SampleSpec(**kwargs)
         assert str(exc.value) == message
+
+    def test_counts_up_to_the_limit_are_kept(self):
+        assert SampleSpec(n_values=range(MAX_OPPONENTS - 1, MAX_OPPONENTS + 1)).n_values == (
+            MAX_OPPONENTS - 1, MAX_OPPONENTS
+        )
 
     def test_counts_stored_as_int_tuple(self):
         spec = SampleSpec(n_values=(n for n in (np.int64(1), 3)), points=np.int64(5))
