@@ -541,6 +541,12 @@ class TestIngest:
         assert (code, out) == (4, "")
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_blank_competitor_name_exits_parse_error(self, capsys, tmp_path):
+        path = self.write_csv(tmp_path, ["e1,a,1", "e1,,2"])
+        code, out, err = run(capsys, "ingest", path)
+        assert (code, out) == (4, "")
+        assert err == "error: event 'e1': competitor names must be nonempty\n"
+
     def test_half_output_is_pinned(self, capsys):
         # Ties and a pair that meets in three events.  The expected bytes
         # were written by the game-by-game standings implementation.

@@ -1,7 +1,10 @@
+import hashlib
 import math
+import pickle
 import random
 import tracemalloc
 from collections import defaultdict
+from collections.abc import Mapping
 from itertools import combinations
 
 import pytest
@@ -65,6 +68,41 @@ def random_season(rng, ties, n_events=40, pool=12):
     return events
 
 
+def eager_pairwise(events):
+    """The pairwise table built eagerly as one dict, the way it used to be stored.
+
+    Each event's cells become a dict in name order; the first is the running
+    table and each later one is merged into it, so a key sits at the first
+    event its pair shares.  This is the reference for values and key order.
+    """
+    pairwise = {}
+    for e in events:
+        cells = {
+            (u, v): (1.0, 0.0) if rank_u < rank_v else (0.0, 1.0) if rank_v < rank_u else (0.5, 0.5)
+            for (u, rank_u), (v, rank_v) in combinations(sorted(e.placements), 2)
+        }
+        if not pairwise:
+            pairwise = cells
+            continue
+        for key in cells.keys() & pairwise.keys():
+            (u_total, v_total), (u_score, v_score) = pairwise[key], cells[key]
+            cells[key] = (u_total + u_score, v_total + v_score)
+        pairwise.update(cells)
+    return pairwise
+
+
+def hex_items(items):
+    return [(key, (u.hex(), v.hex())) for key, (u, v) in items]
+
+
+def big_event(k=1000, seed=5):
+    """One seeded event of k finishers in shuffled rank order."""
+    rng = random.Random(seed)
+    ranks = list(range(1, k + 1))
+    rng.shuffle(ranks)
+    return event("big", *((f"p{i:04d}", rank) for i, rank in enumerate(ranks)))
+
+
 class TestEventRecord:
     def test_needs_two_competitors(self):
         with pytest.raises(MalformedRanksError):
@@ -82,6 +120,13 @@ class TestEventRecord:
     def test_rejects_non_integral_ranks(self, rank):
         with pytest.raises(MalformedRanksError, match="'heat'"):
             event("heat", ("a", 1), ("b", rank))
+
+    @pytest.mark.parametrize("names", [("a", ""), ("", "b")])
+    def test_rejects_blank_names(self, names):
+        with pytest.raises(
+            MalformedRanksError, match=r"^event 'e1': competitor names must be nonempty$"
+        ):
+            event("e1", (names[0], 1), (names[1], 2))
 
     def test_integral_floats_become_ints(self):
         e = event("e1", ("a", 1.0), ("b", 2))
@@ -244,21 +289,137 @@ class TestBuildStandings:
         standings = build_standings(events)
         assert standings.pairwise[("a", "b")] == (2.0, 1.0)
 
-    def test_big_event_peaks_near_what_it_keeps(self):
-        # The only quadratic structure is the pairwise table, so building it once
-        # and keeping it should peak near the memory the result keeps.  Python
-        # 3.11.7 reads a peak of 1.045 times the kept memory at 500 finishers
-        # (124,750 pairs) when the event's table becomes the result, and 1.433
-        # when it is copied into an empty one.
-        rng = random.Random(5)
-        ranks = list(range(1, 501))
-        rng.shuffle(ranks)
-        big = event("big", *((f"p{i:03d}", rank) for i, rank in enumerate(ranks)))
+    def test_big_event_keeps_under_a_megabyte(self):
+        # The table is derived from the ranks, so a 1000-finisher event keeps
+        # its placements and each competitor's events, not 499,500 cells.
+        big = big_event()
         tracemalloc.start()
         try:
             standings = build_standings([big])
-            kept, peak = tracemalloc.get_traced_memory()
+            kept, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(standings.pairwise) == 124_750
-        assert peak <= 1.15 * kept
+        assert len(standings.pairwise) == 499_500
+        assert kept < 1_000_000
+
+
+class TestPairwiseIsTheEagerTable:
+    """Values and key order match the eagerly built dict, float for float."""
+
+    @pytest.mark.parametrize("ties", list(TiesPolicy))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_season(self, ties, seed):
+        events = random_season(random.Random(seed), ties)
+        pairwise = build_standings(events, ties).pairwise
+        want = list(eager_pairwise(events).items())
+        # Pools this small make many pairs meet in several events.
+        assert sum(1 for _, (u, v) in want if u + v > 1) > len(want) // 2
+        assert hex_items(pairwise.items()) == hex_items(want)
+        assert list(pairwise) == list(pairwise.keys()) == [key for key, _ in want]
+        assert hex_items(zip(pairwise, pairwise.values())) == hex_items(want)
+        assert hex_items((key, pairwise[key]) for key, _ in want) == hex_items(want)
+
+    def test_big_event(self):
+        big = big_event()
+        got = hex_items(build_standings([big]).pairwise.items())
+        want = hex_items(eager_pairwise([big]).items())
+        assert len(got) == 499_500
+        digest = [hashlib.sha256(repr(items).encode()).hexdigest() for items in (got, want)]
+        assert digest[0] == digest[1]
+
+
+class TestPairwiseMapping:
+    def standings(self):
+        return build_standings([
+            event("e1", ("a", 1), ("b", 2), ("c", 3)),
+            event("e2", ("b", 1), ("a", 2)),
+            event("e3", ("x", 1), ("y", 2)),
+        ])
+
+    def test_is_a_read_only_mapping(self):
+        pairwise = self.standings().pairwise
+        assert isinstance(pairwise, Mapping)
+        assert not isinstance(pairwise, dict)
+        with pytest.raises(TypeError):
+            pairwise[("a", "b")] = (0.0, 0.0)
+        with pytest.raises(TypeError):
+            del pairwise[("a", "b")]
+        assert pairwise[("a", "b")] == (1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            ("b", "a"), ("a", "a"), ("a", "x"), ("a", "ghost"), ("ghost", "a"),
+            "ab", ("a",), ("a", "b", "c"), 7,
+        ],
+        ids=[
+            "reversed", "self", "never-met", "missing-v", "missing-u",
+            "string", "short", "long", "int",
+        ],
+    )
+    def test_missing_and_reversed_keys(self, key):
+        pairwise = self.standings().pairwise
+        with pytest.raises(KeyError):
+            pairwise[key]
+        assert key not in pairwise
+        assert pairwise.get(key) is None
+        assert pairwise.get(key, "default") == "default"
+
+    def test_in_and_get(self):
+        pairwise = self.standings().pairwise
+        assert ("a", "c") in pairwise
+        assert pairwise.get(("a", "c")) == (1.0, 0.0)
+        assert pairwise.get(("x", "y"), "default") == (1.0, 0.0)
+        assert (("a", "b"), (1.0, 1.0)) in pairwise.items()
+        assert (("a", "b"), (1.0, 0.0)) not in pairwise.items()
+        assert ("x", "y") in pairwise.keys()
+        assert (1.0, 1.0) in pairwise.values()
+
+    @pytest.mark.parametrize("ties", list(TiesPolicy))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_len_counts_the_keys(self, ties, seed):
+        pairwise = build_standings(random_season(random.Random(seed), ties), ties).pairwise
+        keys = list(pairwise)
+        assert len(pairwise) == len(keys) == len(set(keys))
+        assert len(pairwise.items()) == len(pairwise.values()) == len(keys)
+        assert len(self.standings().pairwise) == 4
+        assert len(build_standings([]).pairwise) == 0
+
+    def test_pickle_round_trip(self):
+        events = random_season(random.Random(3), TiesPolicy.HALF)
+        standings = build_standings(events, TiesPolicy.HALF)
+        copy = pickle.loads(pickle.dumps(standings))
+        assert copy == standings
+        assert type(copy.pairwise) is type(standings.pairwise)
+        assert hex_items(copy.pairwise.items()) == hex_items(standings.pairwise.items())
+
+    def test_equals_an_explicit_dict_both_ways(self):
+        events = random_season(random.Random(4), TiesPolicy.HALF)
+        built = build_standings(events, TiesPolicy.HALF)
+        explicit = Standings(
+            dict(built.wins), dict(built.losses), eager_pairwise(events), TiesPolicy.HALF
+        )
+        assert isinstance(explicit.pairwise, dict)
+        assert built == explicit and explicit == built
+        assert built.pairwise == explicit.pairwise and explicit.pairwise == built.pairwise
+        key = next(iter(explicit.pairwise))
+        u, v = explicit.pairwise[key]
+        explicit.pairwise[key] = (v, u + 1.0)
+        assert built != explicit and explicit != built
+        del explicit.pairwise[key]
+        assert built != explicit and explicit != built
+        assert built.pairwise != list(built.pairwise.items())
+
+    def test_repr_is_the_dict_repr(self):
+        standings = self.standings()
+        assert repr(standings) == (
+            "Standings(wins={'a': 2.0, 'b': 2.0, 'c': 0.0, 'x': 1.0, 'y': 0.0}, "
+            "losses={'a': 1.0, 'b': 1.0, 'c': 2.0, 'x': 0.0, 'y': 1.0}, "
+            "pairwise={('a', 'b'): (1.0, 1.0), ('a', 'c'): (1.0, 0.0), ('b', 'c'): (1.0, 0.0), "
+            "('x', 'y'): (1.0, 0.0)}, ties_policy=<TiesPolicy.REJECT: 'reject'>)"
+        )
+        events = random_season(random.Random(5), TiesPolicy.HALF)
+        built = build_standings(events, TiesPolicy.HALF)
+        explicit = Standings(built.wins, built.losses, eager_pairwise(events), TiesPolicy.HALF)
+        assert repr(built) == repr(explicit)
+        assert repr(build_standings([]).pairwise) == "{}"
